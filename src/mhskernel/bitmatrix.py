@@ -1,10 +1,18 @@
-"""Bit-packed 0/1 incidence matrices.
+"""Sparse 0/1 incidence matrices and their pairwise co-occurrence counts.
 
-Bit ``(i, j)`` is set iff vertex ``j`` belongs to edge ``i``.  Storage is
-packed into 64-bit words along the larger dimension: column-major (one
-packed column of edge bits per vertex) when ``n >= m``, row-major
-otherwise.  Packing along the larger dimension keeps the pairwise
-AND/popcount scans used by the reduction engines cheap.
+Bit ``(i, j)`` is set iff vertex ``j`` belongs to edge ``i``.  The matrix
+is stored row-compressed in two numpy arrays: ``words`` lists the 0-based
+column of every set bit, row by row and increasing within a row, and
+``indptr[i]:indptr[i + 1]`` delimits row ``i``'s run.
+
+The reduction rules read the matrix only through pairwise counts: edge
+intersection sizes (``A·Aᵀ``) and shared-edge counts of vertices
+(``Aᵀ·A``).  :meth:`IncidenceMatrix.edge_pairs` and
+:meth:`IncidenceMatrix.vertex_pairs` return them as sparse pair lists,
+built from the incidence lists alone: every vertex (for ``A·Aᵀ``) or edge
+(for ``Aᵀ·A``) emits all ordered pairs of its members, and ``np.unique``
+counts the repeats.  Memory is ``O(Σ group size²)``, never ``O(rows²)``;
+pairs that share nothing are absent.
 """
 
 from __future__ import annotations
@@ -12,119 +20,79 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .instance import Hypergraph
 
-WORD_BITS = 64
-_WORD_MASK = (1 << WORD_BITS) - 1
 
+def _cooccurrence(members: np.ndarray, sizes: np.ndarray, count: int):
+    """Ordered pairs ``(a, b)`` of items that share a group, with the number
+    of groups they share (diagonal pairs included).
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Packed incidence matrix of a hypergraph.
-
-    ``words`` holds ``lines * words_per_line`` little-endian 64-bit words,
-    one run of ``words_per_line`` words per line.  A line is a row (edge)
-    in row-major orientation and a column (vertex) in column-major
-    orientation.
+    ``members`` lists the items of every group in turn, ``sizes`` the group
+    lengths, and items are ``0 .. count - 1``.
     """
+    reps = np.repeat(sizes, sizes)  # per entry: its group's size
+    left = np.repeat(members, reps)
+    # Entry k of a group of size s at offset o pairs with members[o : o + s].
+    start = np.repeat(np.repeat(np.cumsum(sizes) - sizes, sizes), reps)
+    step = np.arange(left.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    right = members[start + step]
+    keys, common = np.unique(left * count + right, return_counts=True)
+    return keys // count, keys % count, common
+
+
+@dataclass(frozen=True, eq=False)
+class IncidenceMatrix:
+    """Row-compressed incidence matrix of a hypergraph (see the module
+    docstring for the layout of ``indptr`` and ``words``)."""
 
     rows: int
     cols: int
-    orientation: str  # "row" or "column"
-    words: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.orientation not in ("row", "column"):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
-
-    @property
-    def lines(self) -> int:
-        return self.rows if self.orientation == "row" else self.cols
-
-    @property
-    def line_width(self) -> int:
-        return self.cols if self.orientation == "row" else self.rows
-
-    @property
-    def words_per_line(self) -> int:
-        return (self.line_width + WORD_BITS - 1) // WORD_BITS
-
-    def _line(self, k: int) -> int:
-        wpl = self.words_per_line
-        bits = 0
-        for w, word in enumerate(self.words[k * wpl : (k + 1) * wpl]):
-            bits |= word << (w * WORD_BITS)
-        return bits
+    indptr: np.ndarray
+    words: np.ndarray
 
     def bit(self, i: int, j: int) -> bool:
         """Whether vertex ``j`` lies in edge ``i`` (both 1-based)."""
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
             raise IndexError(f"bit ({i}, {j}) outside {self.rows}x{self.cols} matrix")
-        if self.orientation == "row":
-            return bool(self._line(i - 1) >> (j - 1) & 1)
-        return bool(self._line(j - 1) >> (i - 1) & 1)
+        row = self.words[self.indptr[i - 1] : self.indptr[i]]
+        k = np.searchsorted(row, j - 1)
+        return bool(k < row.size and row[k] == j - 1)
 
     @cached_property
-    def row_bitsets(self) -> tuple[int, ...]:
-        """Per edge, the bitset of its vertices (vertex j -> bit j-1)."""
-        if self.orientation == "row":
-            return tuple(self._line(i) for i in range(self.rows))
-        out = [0] * self.rows
-        for j in range(self.cols):
-            col = self._line(j)
-            while col:
-                low = col & -col
-                out[low.bit_length() - 1] |= 1 << j
-                col ^= low
-        return tuple(out)
+    def row_sizes(self) -> np.ndarray:
+        """Per edge, its number of vertices."""
+        return np.diff(self.indptr)
 
     @cached_property
-    def col_bitsets(self) -> tuple[int, ...]:
-        """Per vertex, the bitset of the edges containing it."""
-        if self.orientation == "column":
-            return tuple(self._line(j) for j in range(self.cols))
-        out = [0] * self.cols
-        for i in range(self.rows):
-            row = self._line(i)
-            while row:
-                low = row & -row
-                out[low.bit_length() - 1] |= 1 << i
-                row ^= low
-        return tuple(out)
+    def col_sizes(self) -> np.ndarray:
+        """Per vertex, its number of edges."""
+        return np.bincount(self.words, minlength=self.cols)
 
     def row_popcount(self, i: int) -> int:
-        return self.row_bitsets[i - 1].bit_count()
+        return int(self.row_sizes[i - 1])
 
     def col_popcount(self, j: int) -> int:
-        return self.col_bitsets[j - 1].bit_count()
+        return int(self.col_sizes[j - 1])
 
     def total_bits(self) -> int:
-        return sum(b.bit_count() for b in self.row_bitsets)
+        return int(self.words.size)
 
+    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """0-based edge pairs ``(a, b)`` with ``|a ∩ b| >= 1``, and that count."""
+        edge_of = np.repeat(np.arange(self.rows), self.row_sizes)
+        return _cooccurrence(edge_of[np.argsort(self.words, kind="stable")], self.col_sizes, self.rows)
 
-def _pack(bits: int, width: int) -> list[int]:
-    words = []
-    for _ in range((width + WORD_BITS - 1) // WORD_BITS):
-        words.append(bits & _WORD_MASK)
-        bits >>= WORD_BITS
-    return words
+    def vertex_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """0-based vertex pairs ``(a, b)`` sharing at least one edge, and how many."""
+        return _cooccurrence(self.words, self.row_sizes, self.cols)
 
 
 def incidence_matrix(h: Hypergraph) -> IncidenceMatrix:
-    """Build the packed incidence matrix of ``h``.
-
-    Orientation is chosen by comparing the dimensions: columns are packed
-    when there are at least as many vertices as edges, rows otherwise.
-    """
-    orientation = "column" if h.n >= h.m else "row"
-    words: list[int] = []
-    if orientation == "row":
-        for bits in h.edge_bits:
-            words.extend(_pack(bits, h.n))
-    else:
-        for j in range(1, h.n + 1):
-            col = 0
-            for i in h.vertex_edges[j - 1]:
-                col |= 1 << (i - 1)
-            words.extend(_pack(col, h.m))
-    return IncidenceMatrix(h.m, h.n, orientation, tuple(words))
+    """Build the row-compressed incidence matrix of ``h``."""
+    sizes = np.fromiter((len(members) for members in h.edges), dtype=np.intp, count=h.m)
+    indptr = np.zeros(h.m + 1, dtype=np.intp)
+    np.cumsum(sizes, out=indptr[1:])
+    words = np.fromiter((j - 1 for members in h.edges for j in members), dtype=np.intp, count=int(indptr[-1]))
+    return IncidenceMatrix(h.m, h.n, indptr, words)

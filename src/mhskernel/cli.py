@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the JSON report here (default: stdout)")
     p.add_argument("--bounds", action="store_true", help="also compute the size/iteration bounds (slow)")
     p.add_argument("--lp-oracle", choices=("exact", "pushed-max"), default="exact")
-    p.add_argument("--workers", type=int, default=1, help="worker count for the parallel engine")
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; any count gives identical results")
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("solve", help="solve an instance exactly")

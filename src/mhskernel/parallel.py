@@ -1,11 +1,15 @@
 """Round-based data-parallel reduction engine.
 
 Each round runs one edge phase (demand pushing) and one vertex phase
-(multiple domination) on a compacted incidence matrix.  Within a phase all
-index pairs are evaluated against the same snapshot and deletions are
-committed afterwards, so the result is independent of scheduling and of
-the worker count; mutual deletions are prevented by an index tie-break
-(the lower original index survives).
+(multiple domination) on a compacted incidence matrix.  A phase computes
+the sparse pairwise counts ``A·Aᵀ`` or ``Aᵀ·A`` of the matrix in one
+vectorized step and evaluates the shared rule predicate
+(:func:`rules.superseding`, :func:`rules.dominating`) on every pair at
+once, against the same snapshot; deletions are committed afterwards.  The
+result therefore depends on nothing but the instance, and mutual
+deletions are prevented by an index tie-break (the lower original index
+survives).  Pairs that share nothing are never evaluated: under
+``1 <= f(e) <= |e|`` no rule can relate them.
 
 A single edge phase leaves no superseding pair alive and a single vertex
 phase leaves no deletable vertex alive, so one phase per rule per round is
@@ -15,161 +19,62 @@ already exhaustive for that rule.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
+
+import numpy as np
 
 from .bitmatrix import IncidenceMatrix, incidence_matrix
 from .instance import Hypergraph, instance_size, validate_feasibility
 from .report import KernelReport, KernelRun
-from .rules import ActiveInstance
+from .rules import ActiveInstance, dominating, superseding
 
 
-def _chunks(count: int, workers: int) -> list[range]:
-    workers = max(1, min(workers, count))
-    step = (count + workers - 1) // workers
-    return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
-
-
-def _run_phase(decide, count: int, workers: int) -> list[bool]:
-    """Evaluate a per-index keep decision over ``range(count)``.
-
-    Decisions are pure reads of shared snapshot state, so any positive
-    worker count yields bit-identical results.
-    """
-    if count == 0:
-        return []
-    if workers <= 1:
-        return [decide(j) for j in range(count)]
-    parts = _chunks(count, workers)
-    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-        results = pool.map(lambda chunk: [decide(j) for j in chunk], parts)
-    keep: list[bool] = []
-    for part in results:
-        keep.extend(part)
-    return keep
-
-
-def _edge_intersections(matrix: IncidenceMatrix) -> list[list[int]]:
-    """Pairwise edge intersection counts via an explicit integer product."""
-    import numpy as np
-
-    rows = matrix.row_bitsets
-    dense = np.zeros((matrix.rows, matrix.cols), dtype=np.int64)
-    for i, bits in enumerate(rows):
-        while bits:
-            low = bits & -bits
-            dense[i, low.bit_length() - 1] = 1
-            bits ^= low
-    return (dense @ dense.T).tolist()
-
-
-def _vertex_intersections(matrix: IncidenceMatrix) -> list[list[int]]:
-    """Pairwise vertex co-occurrence counts via an explicit integer product."""
-    import numpy as np
-
-    cols = matrix.col_bitsets
-    dense = np.zeros((matrix.rows, matrix.cols), dtype=np.int64)
-    for j, bits in enumerate(cols):
-        while bits:
-            low = bits & -bits
-            dense[low.bit_length() - 1, j] = 1
-            bits ^= low
-    return (dense.T @ dense).tolist()
-
-
-def par_reduce_edges(
-    matrix: IncidenceMatrix,
-    demand: Sequence[int],
-    *,
-    rule: str = "dp",
-    workers: int = 1,
-    use_matrix_product: bool = False,
-) -> list[bool]:
+def par_reduce_edges(matrix: IncidenceMatrix, demand: Sequence[int], *, rule: str = "dp") -> list[bool]:
     """Keep-vector of one exhaustive edge phase on a compacted matrix.
 
-    ``rule`` selects the deletion relation: ``"dp"`` (demand pushing,
-    ``f(i) - |i \\ j| >= f(j)``) or the weaker ``"se"`` (containment with
-    at least the same demand).  Edge ``j`` is deleted when some edge ``i``
-    relates to it and either ``j`` does not relate back or ``i < j``.
+    ``rule`` selects the deletion relation of :func:`rules.superseding`:
+    ``"dp"`` (demand pushing) or the weaker ``"se"`` (containment with at
+    least the same demand).  Every demand must lie in ``1 .. |row|``.
     """
-    if rule not in ("dp", "se"):
-        raise ValueError(f"unknown edge rule {rule!r}")
-    m = matrix.rows
-    if len(demand) != m:
-        raise ValueError("one demand per matrix row required")
-    rows = matrix.row_bitsets
-    sizes = [bits.bit_count() for bits in rows]
-    inter = _edge_intersections(matrix) if use_matrix_product else None
-
-    def relates(i: int, j: int) -> bool:
-        common = inter[i][j] if inter is not None else (rows[i] & rows[j]).bit_count()
-        if rule == "dp":
-            return demand[i] - (sizes[i] - common) >= demand[j]
-        return common == sizes[i] and demand[i] >= demand[j]
-
-    def keep(j: int) -> bool:
-        for i in range(m):
-            if i != j and relates(i, j) and (not relates(j, i) or i < j):
-                return False
-        return True
-
-    return _run_phase(keep, m, workers)
-
-
-def par_reduce_vertices(
-    matrix: IncidenceMatrix,
-    demand: Sequence[int],
-    *,
-    workers: int = 1,
-    use_matrix_product: bool = False,
-) -> list[bool]:
-    """Keep-vector of one exhaustive vertex phase on a compacted matrix.
-
-    Vertex ``i`` counts as a dominator of ``j`` when ``j``'s incidences are
-    contained in ``i``'s, tie-broken towards the lower index on equal
-    incidence sets.  ``j`` is deleted when its dominator count meets the
-    demand of every edge containing it; a vertex in no edge is deleted.
-    """
-    n = matrix.cols
     if len(demand) != matrix.rows:
         raise ValueError("one demand per matrix row required")
-    cols = matrix.col_bitsets
-    degrees = [bits.bit_count() for bits in cols]
-    inter = _vertex_intersections(matrix) if use_matrix_product else None
-
-    def dominates(i: int, j: int) -> bool:
-        common = inter[i][j] if inter is not None else (cols[i] & cols[j]).bit_count()
-        return common == degrees[j] and (common != degrees[i] or i < j)
-
-    def keep(j: int) -> bool:
-        need = 0
-        incident = cols[j]
-        while incident:
-            low = incident & -incident
-            need = max(need, demand[low.bit_length() - 1])
-            incident ^= low
-        if need == 0:
-            return False  # no alive edge needs this vertex
-        count = 0
-        for i in range(n):
-            if i != j and dominates(i, j):
-                count += 1
-                if count >= need:
-                    return False
-        return True
-
-    return _run_phase(keep, n, workers)
+    f = np.asarray(demand, dtype=np.int64)
+    size = matrix.row_sizes
+    if np.any(f < 1) or np.any(f > size):
+        raise ValueError("every demand must lie between 1 and its row's size")
+    i, j, common = matrix.edge_pairs()
+    gone = superseding(common, size[i], f[i], i, size[j], f[j], j, rule)
+    keep = np.ones(matrix.rows, dtype=bool)
+    keep[j[gone]] = False
+    return keep.tolist()
 
 
-def par_kernelize(
-    h: Hypergraph,
-    *,
-    rule: str = "dp",
-    workers: int = 1,
-    use_matrix_product: bool = False,
-) -> KernelRun:
+def par_reduce_vertices(matrix: IncidenceMatrix, demand: Sequence[int]) -> list[bool]:
+    """Keep-vector of one exhaustive vertex phase on a compacted matrix.
+
+    Vertex ``j`` is deleted when its dominators (:func:`rules.dominating`)
+    are at least as many as the largest demand among its edges; a vertex
+    in no edge is deleted.
+    """
+    if len(demand) != matrix.rows:
+        raise ValueError("one demand per matrix row required")
+    need = np.zeros(matrix.cols, dtype=np.int64)
+    np.maximum.at(need, matrix.words, np.repeat(np.asarray(demand, dtype=np.int64), matrix.row_sizes))
+    deg = matrix.col_sizes
+    i, j, common = matrix.vertex_pairs()
+    dominators = np.bincount(j[dominating(common, deg[i], i, deg[j], j)], minlength=matrix.cols)
+    return (dominators < need).tolist()
+
+
+def par_kernelize(h: Hypergraph, *, rule: str = "dp", workers: int = 1) -> KernelRun:
     """Alternate edge and vertex phases on compacted matrices until a full
-    round deletes nothing.  Demands are never modified here."""
+    round deletes nothing.  Demands are never modified here.
+
+    ``workers`` is validated but selects nothing: every phase is one
+    vectorized step, and any worker count gives identical results.
+    """
+    if workers < 1:
+        raise ValueError("worker count must be positive")
     check = validate_feasibility(h)
     if not check:
         raise ValueError(f"instance is infeasible: {check.reason}")
@@ -183,10 +88,7 @@ def par_kernelize(
         changed = False
 
         sub, _, edge_ids = active.extract()
-        keep = par_reduce_edges(
-            incidence_matrix(sub), sub.demand,
-            rule=rule, workers=workers, use_matrix_product=use_matrix_product,
-        )
+        keep = par_reduce_edges(incidence_matrix(sub), sub.demand, rule=rule)
         for kept, i in zip(keep, edge_ids):
             if not kept:
                 active.edge_alive[i - 1] = False
@@ -194,10 +96,7 @@ def par_kernelize(
                 changed = True
 
         sub, vertex_ids, _ = active.extract()
-        keep = par_reduce_vertices(
-            incidence_matrix(sub), sub.demand,
-            workers=workers, use_matrix_product=use_matrix_product,
-        )
+        keep = par_reduce_vertices(incidence_matrix(sub), sub.demand)
         for kept, j in zip(keep, vertex_ids):
             if not kept:
                 active.vertex_alive[j - 1] = False

@@ -2,10 +2,12 @@
 
 A pipeline is an ordered list of rule phases (``fe``, ``dp``, ``se``,
 ``md``, ``lp``) run by one of the two engines, optionally looped until a
-whole pass deletes nothing.  Demand-changing rules (``fe``) invalidate the
-engines' cached state, so the generic loop re-extracts the surviving
-subinstance before every phase; the common ``dp,md`` loop is delegated to
-the engines' own kernelize loops, which maintain state incrementally.
+whole pass deletes nothing.  Both engines run the edge rules (``dp`` and
+``se``) and ``md`` through the same predicates of :mod:`rules`.
+Demand-changing rules (``fe``) invalidate the engines' cached state, so
+the generic loop re-extracts the surviving subinstance before every phase;
+the common ``dp,md`` loop is delegated to the engines' own kernelize
+loops, which maintain state incrementally.
 """
 
 from __future__ import annotations
@@ -33,7 +35,11 @@ LP_ORACLES = {"exact": exact_oracle, "pushed-max": pushed_max_oracle}
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """Which phases to run, on which engine, and whether to loop."""
+    """Which phases to run, on which engine, and whether to loop.
+
+    ``workers`` is validated but selects no code path: every worker count
+    gives identical results.
+    """
 
     phases: tuple[str, ...]
     engine: str = "sequential"
@@ -57,17 +63,12 @@ class PipelineSpec:
 
 def _edge_phase(active: ActiveInstance, spec: PipelineSpec, rule: str) -> int:
     sub, _, edge_ids = active.extract()
-    if spec.engine == "parallel" or rule == "se":
-        # The sequential loops implement demand pushing; the weaker
-        # containment rule only exists as a snapshot phase.
-        keep = par_reduce_edges(
-            incidence_matrix(sub), sub.demand, rule=rule,
-            workers=spec.workers if spec.engine == "parallel" else 1,
-        )
+    if spec.engine == "parallel":
+        keep = par_reduce_edges(incidence_matrix(sub), sub.demand, rule=rule)
     else:
         state = init_state(sub)
-        seq_reduce_edges(state)
-        keep = [state.edge_alive[i] for i in range(sub.m)]
+        seq_reduce_edges(state, rule)
+        keep = state.edge_alive
     deleted = 0
     for kept, i in zip(keep, edge_ids):
         if not kept:
@@ -79,11 +80,11 @@ def _edge_phase(active: ActiveInstance, spec: PipelineSpec, rule: str) -> int:
 def _vertex_phase(active: ActiveInstance, spec: PipelineSpec) -> int:
     sub, vertex_ids, _ = active.extract()
     if spec.engine == "parallel":
-        keep = par_reduce_vertices(incidence_matrix(sub), sub.demand, workers=spec.workers)
+        keep = par_reduce_vertices(incidence_matrix(sub), sub.demand)
     else:
         state = init_state(sub)
         seq_reduce_vertices(state)
-        keep = [state.vertex_alive[j] for j in range(sub.n)]
+        keep = state.vertex_alive
     deleted = 0
     for kept, j in zip(keep, vertex_ids):
         if not kept:
@@ -117,8 +118,7 @@ def run_pipeline(
     # Pure dp/md loops run on the engines' own incremental loops.
     if spec.loop and tuple(spec.phases) == ("dp", "md"):
         runner = par_kernelize if spec.engine == "parallel" else seq_kernelize
-        kwargs = {"workers": spec.workers} if spec.engine == "parallel" else {}
-        run: KernelRun = runner(h, **kwargs)
+        run: KernelRun = runner(h)
         report.rounds = run.report.rounds
         report.deleted_by_rule = run.report.deleted_by_rule
         report.wall_times_ms.update(run.report.wall_times_ms)

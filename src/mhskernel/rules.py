@@ -110,7 +110,8 @@ def supersedes(active: ActiveInstance, i: int, j: int) -> bool:
         raise ValueError("supersedence is checked between distinct edges")
     active.require_edge(i)
     active.require_edge(j)
-    only_i = sum(1 for v in active.edge_members(i) if v not in set(active.edge_members(j)))
+    in_j = set(active.edge_members(j))
+    only_i = sum(1 for v in active.edge_members(i) if v not in in_j)
     return active.demand[i - 1] - only_i >= active.demand[j - 1]
 
 
@@ -133,6 +134,38 @@ def md_applicable(active: ActiveInstance, j: int) -> bool:
     if need == 0:
         return True
     return len(dominators(active, j)) >= need
+
+
+def superseding(common, size_i, f_i, id_i, size_j, f_j, id_j, rule: str = "dp"):
+    """Elementwise: whether edge ``i`` deletes edge ``j`` in an edge phase.
+
+    Arguments broadcast like numpy arrays; ``common`` is ``|i ∩ j|``.  Under
+    ``"dp"`` edge ``i`` relates to ``j`` when ``f(i) - |i \\ j| >= f(j)``,
+    under ``"se"`` when ``i ⊆ j`` and ``f(i) >= f(j)``.  ``j`` goes when
+    ``i`` relates to it and either ``j`` does not relate back or ``i`` has
+    the lower id, so of two mutually related edges exactly one survives and
+    an edge never deletes itself.  Both engines apply this one predicate.
+    """
+    if rule == "dp":
+        forward = f_i - (size_i - common) >= f_j
+        one_way = f_j - (size_j - common) < f_i
+    elif rule == "se":
+        forward = (common == size_i) & (f_i >= f_j)
+        one_way = (common != size_j) | (f_j < f_i)
+    else:
+        raise ValueError(f"unknown edge rule {rule!r}")
+    return forward & (one_way | (id_i < id_j))
+
+
+def dominating(common, deg_i, id_i, deg_j, id_j):
+    """Elementwise: whether vertex ``i`` counts as a dominator of ``j``.
+
+    ``common`` is the number of edges containing both.  ``j``'s incidences
+    must lie within ``i``'s; on equal incidence sets only the lower id
+    counts, so a vertex never counts for itself.  Both engines apply this
+    one predicate.
+    """
+    return (common == deg_j) & ((common != deg_i) | (id_i < id_j))
 
 
 def fe_pass(active: ActiveInstance) -> RuleOutcome:

@@ -1,8 +1,12 @@
 """Incrementally maintained sequential reduction engine.
 
 Produces exactly the parallel engine's fixpoint, but instead of rebuilding
-matrices every round it maintains pairwise intersection counts under
-deletion and narrows each phase's scan with candidate lists:
+matrices every round it maintains dense pairwise intersection counts under
+deletion and narrows each phase's scan with candidate lists.  A phase
+slices the candidates' rows out of the count matrix, ``BLOCK_CELLS``
+cells at a time, and applies the same rule predicates as the parallel
+engine (:func:`rules.superseding`, :func:`rules.dominating`) to each
+block.  Candidates:
 
 * deleting an edge can only newly enable vertex domination for that edge's
   vertices, so they are the only new vertex candidates;
@@ -24,7 +28,11 @@ import numpy as np
 
 from .instance import Hypergraph, instance_size, validate_feasibility
 from .report import KernelReport, KernelRun
-from .rules import ActiveInstance
+from .rules import ActiveInstance, dominating, superseding
+
+# Cells of one candidates × alive slice of an intersection matrix; bounds
+# the temporaries of a phase independently of the instance size.
+BLOCK_CELLS = 1 << 14
 
 
 @dataclass
@@ -63,11 +71,14 @@ def init_state(h: Hypergraph, demand=None) -> ReductionState:
     contributes one unit to every pair of its vertices.
     """
     active = ActiveInstance(h, demand)
-    edge_inter = np.zeros((h.m, h.m), dtype=np.int32)
+    # No count exceeds n or m, so the smallest unsigned type that holds both
+    # suffices; the matrices are the engine's largest allocation.
+    dtype = np.min_scalar_type(max(h.n, h.m))
+    edge_inter = np.zeros((h.m, h.m), dtype=dtype)
     for incident in h.vertex_edges:
         idx = np.fromiter((i - 1 for i in incident), dtype=np.intp, count=len(incident))
         edge_inter[np.ix_(idx, idx)] += 1
-    vertex_inter = np.zeros((h.n, h.n), dtype=np.int32)
+    vertex_inter = np.zeros((h.n, h.n), dtype=dtype)
     for members in h.edges:
         idx = np.fromiter((j - 1 for j in members), dtype=np.intp, count=len(members))
         vertex_inter[np.ix_(idx, idx)] += 1
@@ -82,34 +93,40 @@ def init_state(h: Hypergraph, demand=None) -> ReductionState:
     return state
 
 
-def seq_reduce_edges(state: ReductionState) -> int:
-    """One exhaustive demand-pushing phase; returns the deletion count.
+def _candidate_blocks(candidates: np.ndarray, width: int):
+    """Split ``candidates`` into runs whose ``candidates × width`` slice of
+    an intersection matrix holds at most ``BLOCK_CELLS`` cells."""
+    step = max(1, BLOCK_CELLS // max(1, width))
+    for lo in range(0, candidates.size, step):
+        yield candidates[lo : lo + step]
 
-    Candidates are scanned against a fixed snapshot (deletions are queued
-    and committed afterwards), so the deleted set equals the parallel edge
-    phase's.  Committing a deletion decrements the vertex co-occurrence
-    counts over the edge's alive vertex pairs and queues those vertices as
-    domination candidates.
+
+def _alive_candidates(queue: list[int], alive: list[bool]) -> np.ndarray:
+    """0-based alive entries of a candidate list, duplicates dropped."""
+    return np.array([k - 1 for k in dict.fromkeys(queue) if alive[k - 1]], dtype=np.intp)
+
+
+def seq_reduce_edges(state: ReductionState, rule: str = "dp") -> int:
+    """One exhaustive edge phase under ``rule`` (see
+    :func:`rules.superseding`); returns the deletion count.
+
+    The candidate superseders are checked against every alive edge, one
+    block of rows of ``edge_inter`` at a time, with the shared predicate
+    on a fixed snapshot (deletions are committed afterwards), so the
+    deleted set equals the parallel edge phase's.  Committing a deletion
+    decrements the vertex co-occurrence counts over the edge's alive
+    vertex pairs and queues those vertices as domination candidates.
     """
     active = state.active
-    inter = state.edge_inter
-    demand = active.demand
-    queued: list[int] = []
-    superseders = [i for i in dict.fromkeys(state.cand_edges) if active.edge_alive[i - 1]]
-    for j in active.alive_edge_ids():
-        fj = demand[j - 1]
-        jj = int(inter[j - 1, j - 1])
-        for i in superseders:
-            if i == j:
-                continue
-            ij = int(inter[i - 1, j - 1])
-            fwd = demand[i - 1] - (int(inter[i - 1, i - 1]) - ij) >= fj
-            if not fwd:
-                continue
-            back = fj - (jj - ij) >= demand[i - 1]
-            if not back or i < j:
-                queued.append(j)
-                break
+    alive = np.flatnonzero(active.edge_alive)
+    size = np.diagonal(state.edge_inter)
+    f = np.asarray(active.demand, dtype=np.int32)
+    doomed = np.zeros(alive.size, dtype=bool)
+    for block in _candidate_blocks(_alive_candidates(state.cand_edges, active.edge_alive), alive.size):
+        i = block[:, None]
+        common = state.edge_inter[i, alive]
+        doomed |= superseding(common, size[i], f[i], i, size[alive], f[alive], alive, rule).any(axis=0)
+    queued = (alive[doomed] + 1).tolist()
     for j in queued:
         active.edge_alive[j - 1] = False
         members = [v - 1 for v in active.edge_members(j)]
@@ -124,37 +141,25 @@ def seq_reduce_edges(state: ReductionState) -> int:
 def seq_reduce_vertices(state: ReductionState) -> int:
     """One exhaustive multiple-domination phase; returns the deletion count.
 
-    For each candidate the needed dominator count starts at the largest
-    demand among its alive edges (zero, hence immediate deletion, for a
-    vertex left in no edge) and is counted down over the alive dominators
-    under the usual index tie-break.  Committing a deletion decrements the
-    edge intersection counts over the vertex's alive incident pairs and
-    queues those edges as superseder candidates.
+    Each candidate needs as many alive dominators (see
+    :func:`rules.dominating`) as the largest demand among its alive edges
+    (zero, hence immediate deletion, for a vertex left in no edge); the
+    dominators are counted one block of rows of ``vertex_inter`` at a
+    time on a fixed snapshot.  Committing a deletion decrements the edge
+    intersection counts over the vertex's alive incident pairs and queues
+    those edges as superseder candidates.
     """
     active = state.active
-    inter = state.vertex_inter
     demand = active.demand
+    alive = np.flatnonzero(active.vertex_alive)
+    deg = np.diagonal(state.vertex_inter)
     queued: list[int] = []
-    scheduled = [False] * active.h.n
-    for j in dict.fromkeys(state.cand_vertices):
-        if not active.vertex_alive[j - 1] or scheduled[j - 1]:
-            continue
-        need = max((demand[i - 1] for i in active.vertex_incidences(j)), default=0)
-        if need == 0:
-            queued.append(j)
-            scheduled[j - 1] = True
-            continue
-        jj = int(inter[j - 1, j - 1])
-        for i in range(1, active.h.n + 1):
-            if i == j or not active.vertex_alive[i - 1]:
-                continue
-            ij = int(inter[i - 1, j - 1])
-            if ij == jj and (ij != int(inter[i - 1, i - 1]) or i < j):
-                need -= 1
-                if need == 0:
-                    queued.append(j)
-                    scheduled[j - 1] = True
-                    break
+    for block in _candidate_blocks(_alive_candidates(state.cand_vertices, active.vertex_alive), alive.size):
+        need = [max((demand[i - 1] for i in active.vertex_incidences(j + 1)), default=0) for j in block]
+        j = block[:, None]
+        common = state.vertex_inter[j, alive]
+        dominators = dominating(common, deg[alive], alive, deg[j], j).sum(axis=1)
+        queued.extend((block[dominators >= need] + 1).tolist())
     for j in queued:
         active.vertex_alive[j - 1] = False
         incident = [i - 1 for i in active.vertex_incidences(j)]

@@ -110,3 +110,12 @@ def test_module_entry_point(ce_file):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["cardinality"] == 3
+
+
+def test_import_stays_numpy_only():
+    # scipy roughly doubles import time and peak memory of every CLI run.
+    result = subprocess.run(
+        [sys.executable, "-c", "import mhskernel, sys; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr

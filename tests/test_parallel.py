@@ -3,6 +3,7 @@ import pytest
 from mhskernel import (
     ActiveInstance,
     Hypergraph,
+    dominators,
     generate_random,
     incidence_matrix,
     matching_number,
@@ -119,28 +120,38 @@ def test_worker_counts_agree(seed):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_matrix_product_path_agrees_with_popcount(seed):
+    """Phases on the sparse co-occurrence counts equal a per-pair recount
+    through the single-pair reference predicates."""
     h = generate_random(n=2 + seed % 15, m=2 + (3 * seed) % 15, p=0.5, alpha=2, seed=seed)
     A = incidence_matrix(h)
-    assert par_reduce_edges(A, h.demand) == par_reduce_edges(A, h.demand, use_matrix_product=True)
-    assert par_reduce_vertices(A, h.demand) == par_reduce_vertices(A, h.demand, use_matrix_product=True)
-    fast = par_kernelize(h)
-    slow = par_kernelize(h, use_matrix_product=True)
-    assert fast.alive_vertices == slow.alive_vertices
-    assert fast.alive_edges == slow.alive_edges
+    a = ActiveInstance(h)
+    edges = range(1, h.m + 1)
+    expected = [
+        not any(i != j and supersedes(a, i, j) and (not supersedes(a, j, i) or i < j) for i in edges)
+        for j in edges
+    ]
+    assert par_reduce_edges(A, h.demand) == expected
+    expected = []
+    for j in range(1, h.n + 1):
+        own = a.vertex_incidences(j)
+        need = max((h.demand[i - 1] for i in own), default=0)
+        ranked = [i for i in dominators(a, j) if a.vertex_incidences(i) != own or i < j]
+        expected.append(need > 0 and len(ranked) < need)
+    assert par_reduce_vertices(A, h.demand) == expected
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_intersection_counts_match_triple_loop(seed):
     h = generate_random(n=2 + seed % 10, m=2 + seed % 10, p=0.5, alpha=2, seed=seed)
     A = incidence_matrix(h)
-    rows = A.row_bitsets
-    cols = A.col_bitsets
+    edge_counts = {(a, b): c for a, b, c in zip(*A.edge_pairs())}
+    vertex_counts = {(a, b): c for a, b, c in zip(*A.vertex_pairs())}
     for i in range(h.m):
         for j in range(h.m):
             naive = sum(
                 1 for k in range(1, h.n + 1) if k in h.edges[i] and k in h.edges[j]
             )
-            assert (rows[i] & rows[j]).bit_count() == naive
+            assert edge_counts.get((i, j), 0) == naive
     for i in range(h.n):
         for j in range(h.n):
             naive = sum(
@@ -148,7 +159,21 @@ def test_intersection_counts_match_triple_loop(seed):
                 for k in range(h.m)
                 if (i + 1) in h.edges[k] and (j + 1) in h.edges[k]
             )
-            assert (cols[i] & cols[j]).bit_count() == naive
+            assert vertex_counts.get((i, j), 0) == naive
+    assert all(c > 0 for c in edge_counts.values()) and all(c > 0 for c in vertex_counts.values())
+
+
+def test_edge_phase_rejects_demand_outside_row_size():
+    # Pairs that share nothing are skipped, which is exact only for 1 <= f <= |e|.
+    h = Hypergraph.from_edges(3, [[1, 2], [3]], [1, 1])
+    A = incidence_matrix(h)
+    with pytest.raises(ValueError):
+        par_reduce_edges(A, [3, 1])
+    with pytest.raises(ValueError):
+        par_reduce_edges(A, [1, 0])
+    with pytest.raises(ValueError):
+        par_reduce_edges(A, [1])
+    assert par_reduce_edges(A, [2, 1]) == [True, True]
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 
 from mhskernel import (
+    ActiveInstance,
     Hypergraph,
     generate_random,
+    incidence_matrix,
     init_state,
+    md_applicable,
     par_kernelize,
+    par_reduce_edges,
     seq_kernelize,
     seq_reduce_edges,
     seq_reduce_vertices,
+    supersedes,
 )
+from mhskernel.sequential import BLOCK_CELLS
 
 from conftest import naive_edge_intersections, naive_vertex_intersections, singletons
 
@@ -186,3 +192,29 @@ def test_candidate_insertions_stay_within_budget(seed):
         pass
     budget = h.n + h.m + sum(len(e) for e in h.edges) + sum(len(v) for v in h.vertex_edges)
     assert state.insertions <= budget
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_engines_agree_beyond_one_block(alpha):
+    # n*n and m*m exceed the block budget, so sequential phases span
+    # several row blocks while the parallel ones read sparse pair lists.
+    n = 300
+    assert n * n > BLOCK_CELLS
+    h = generate_random(n=n, m=n, p=2 / n, alpha=alpha, seed=0)
+    seq = seq_kernelize(h)
+    par = par_kernelize(h)
+    assert seq.alive_vertices == par.alive_vertices
+    assert seq.alive_edges == par.alive_edges
+    assert seq.report.deleted_by_rule["dp"] > 0 and seq.report.deleted_by_rule["md"] > 0
+
+    state = init_state(h)
+    assert seq_reduce_edges(state, "se") > 0
+    assert state.edge_alive == par_reduce_edges(incidence_matrix(h), h.demand, rule="se")
+
+    survivors = ActiveInstance(seq.hypergraph)
+    for i in range(1, seq.hypergraph.m + 1):
+        for j in range(1, seq.hypergraph.m + 1):
+            if i != j:
+                assert not supersedes(survivors, i, j)
+    for j in range(1, seq.hypergraph.n + 1):
+        assert not md_applicable(survivors, j)
