@@ -1,15 +1,15 @@
 """Round-based data-parallel reduction engine.
 
 Each round runs one edge phase (demand pushing) and one vertex phase
-(multiple domination) on a compacted incidence matrix.  A phase computes
-the sparse pairwise counts ``A·Aᵀ`` or ``Aᵀ·A`` of the matrix in one
-vectorized step and evaluates the shared rule predicate
-(:func:`rules.superseding`, :func:`rules.dominating`) on every pair at
-once, against the same snapshot; deletions are committed afterwards.  The
-result therefore depends on nothing but the instance, and mutual
-deletions are prevented by an index tie-break (the lower original index
-survives).  Pairs that share nothing are never evaluated: under
-``1 <= f(e) <= |e|`` no rule can relate them.
+(multiple domination) on a compacted incidence matrix.  A phase reads
+the pairwise counts ``A·Aᵀ`` or ``Aᵀ·A`` of the matrix in bounded chunks
+(see :mod:`bitmatrix`) and evaluates the shared rule predicate
+(:func:`rules.superseding`, :func:`rules.dominating`) on every pair of a
+chunk at once, against the same snapshot; deletions are committed after
+the last chunk.  The result therefore depends on nothing but the
+instance, and mutual deletions are prevented by an index tie-break (the
+lower original index survives).  Pairs that share nothing are never
+evaluated: under ``1 <= f(e) <= |e|`` no rule can relate them.
 
 A single edge phase leaves no superseding pair alive and a single vertex
 phase leaves no deletable vertex alive, so one phase per rule per round is
@@ -42,10 +42,9 @@ def par_reduce_edges(matrix: IncidenceMatrix, demand: Sequence[int], *, rule: st
     size = matrix.row_sizes
     if np.any(f < 1) or np.any(f > size):
         raise ValueError("every demand must lie between 1 and its row's size")
-    i, j, common = matrix.edge_pairs()
-    gone = superseding(common, size[i], f[i], i, size[j], f[j], j, rule)
     keep = np.ones(matrix.rows, dtype=bool)
-    keep[j[gone]] = False
+    for i, j, common in matrix.edge_pairs():
+        keep[j[superseding(common, size[i], f[i], i, size[j], f[j], j, rule)]] = False
     return keep.tolist()
 
 
@@ -61,8 +60,9 @@ def par_reduce_vertices(matrix: IncidenceMatrix, demand: Sequence[int]) -> list[
     need = np.zeros(matrix.cols, dtype=np.int64)
     np.maximum.at(need, matrix.words, np.repeat(np.asarray(demand, dtype=np.int64), matrix.row_sizes))
     deg = matrix.col_sizes
-    i, j, common = matrix.vertex_pairs()
-    dominators = np.bincount(j[dominating(common, deg[i], i, deg[j], j)], minlength=matrix.cols)
+    dominators = np.zeros(matrix.cols, dtype=np.int64)
+    for i, j, common in matrix.vertex_pairs():
+        dominators += np.bincount(j[dominating(common, deg[i], i, deg[j], j)], minlength=matrix.cols)
     return (dominators < need).tolist()
 
 
@@ -70,8 +70,8 @@ def par_kernelize(h: Hypergraph, *, rule: str = "dp", workers: int = 1) -> Kerne
     """Alternate edge and vertex phases on compacted matrices until a full
     round deletes nothing.  Demands are never modified here.
 
-    ``workers`` is validated but selects nothing: every phase is one
-    vectorized step, and any worker count gives identical results.
+    ``workers`` is validated but selects nothing: every phase is
+    vectorized, and any worker count gives identical results.
     """
     if workers < 1:
         raise ValueError("worker count must be positive")

@@ -3,7 +3,7 @@
 Produces exactly the parallel engine's fixpoint, but instead of rebuilding
 matrices every round it maintains dense pairwise intersection counts under
 deletion and narrows each phase's scan with candidate lists.  A phase
-slices the candidates' rows out of the count matrix, ``BLOCK_CELLS``
+slices the candidates' rows out of the count matrix, ``bitmatrix.BLOCK_CELLS``
 cells at a time, and applies the same rule predicates as the parallel
 engine (:func:`rules.superseding`, :func:`rules.dominating`) to each
 block.  Candidates:
@@ -26,13 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bitmatrix import BLOCK_CELLS
 from .instance import Hypergraph, instance_size, validate_feasibility
 from .report import KernelReport, KernelRun
 from .rules import ActiveInstance, dominating, superseding
-
-# Cells of one candidates × alive slice of an intersection matrix; bounds
-# the temporaries of a phase independently of the instance size.
-BLOCK_CELLS = 1 << 14
 
 
 @dataclass

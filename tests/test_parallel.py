@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from mhskernel import (
@@ -12,9 +15,12 @@ from mhskernel import (
     par_kernelize,
     par_reduce_edges,
     par_reduce_vertices,
+    seq_kernelize,
     solve_opt,
     supersedes,
 )
+
+from mhskernel.bitmatrix import BLOCK_CELLS, PAIR_COST, _dense_counts, _sparse_counts
 
 from conftest import brute_force_opt, singletons
 
@@ -118,34 +124,116 @@ def test_worker_counts_agree(seed):
     assert runs[0].hypergraph == runs[1].hypergraph == runs[2].hypergraph
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_matrix_product_path_agrees_with_popcount(seed):
-    """Phases on the sparse co-occurrence counts equal a per-pair recount
-    through the single-pair reference predicates."""
-    h = generate_random(n=2 + seed % 15, m=2 + (3 * seed) % 15, p=0.5, alpha=2, seed=seed)
-    A = incidence_matrix(h)
+def _single_pair_keep_vectors(h):
+    """Keep-vectors of one edge phase and one vertex phase, recounted pair
+    by pair through the single-pair reference predicates."""
     a = ActiveInstance(h)
     edges = range(1, h.m + 1)
-    expected = [
+    edge_keep = [
         not any(i != j and supersedes(a, i, j) and (not supersedes(a, j, i) or i < j) for i in edges)
         for j in edges
     ]
-    assert par_reduce_edges(A, h.demand) == expected
-    expected = []
+    vertex_keep = []
     for j in range(1, h.n + 1):
         own = a.vertex_incidences(j)
         need = max((h.demand[i - 1] for i in own), default=0)
         ranked = [i for i in dominators(a, j) if a.vertex_incidences(i) != own or i < j]
-        expected.append(need > 0 and len(ranked) < need)
-    assert par_reduce_vertices(A, h.demand) == expected
+        vertex_keep.append(need > 0 and len(ranked) < need)
+    return edge_keep, vertex_keep
+
+
+def _counts(chunks):
+    return {(a, b): c for chunk in chunks for a, b, c in zip(*chunk)}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_matrix_product_path_agrees_with_popcount(seed):
+    """The dense matrix-product counts and the sparse pair-list counts both
+    equal per-pair popcounts of the rows, and the phases equal a per-pair
+    recount through the single-pair reference predicates."""
+    h = generate_random(n=2 + seed % 15, m=2 + (3 * seed) % 15, p=0.5, alpha=2, seed=seed)
+    A = incidence_matrix(h)
+    rows = [set(e) for e in h.edges]
+    cols = [set(v) for v in h.vertex_edges]
+    popcounts = {(a, b): len(rows[a] & rows[b]) for a in range(h.m) for b in range(h.m)}
+    for path in (_dense_counts, _sparse_counts):
+        assert _counts(path(A.indptr, A.words, *A.columns)) == {k: c for k, c in popcounts.items() if c}
+    popcounts = {(a, b): len(cols[a] & cols[b]) for a in range(h.n) for b in range(h.n)}
+    for path in (_dense_counts, _sparse_counts):
+        assert _counts(path(*A.columns, A.indptr, A.words)) == {k: c for k, c in popcounts.items() if c}
+    edge_keep, vertex_keep = _single_pair_keep_vectors(h)
+    assert par_reduce_edges(A, h.demand) == edge_keep
+    assert par_reduce_vertices(A, h.demand) == vertex_keep
+
+
+def _dense_nested_instance(seed):
+    """A dense 300 x 300 instance on which both rules fire: every base
+    vertex is tripled (equal incidences, so md applies) and every extra
+    edge contains a base edge of the same demand (so dp applies)."""
+    base = generate_random(n=100, m=150, p=0.5, alpha=2, seed=seed)
+    tripled = [tuple(3 * v - k for v in e for k in (2, 1, 0)) for e in base.edges]
+    extra = [tuple(sorted(set(tripled[i]) | set(tripled[(i + 1) % 150]))) for i in range(150)]
+    return Hypergraph.from_edges(300, tripled + extra, list(base.demand) * 2)
+
+
+def test_dense_phases_match_single_pair_reference():
+    # Dense enough that the phases count on the matrix-product path, with
+    # more rows and columns than one block holds.
+    h = _dense_nested_instance(seed=0)
+    A = incidence_matrix(h)
+    assert h.m * h.m > BLOCK_CELLS and h.n * h.n > BLOCK_CELLS
+    edge_pairs, vertex_pairs = (A.col_sizes ** 2).sum(), (A.row_sizes ** 2).sum()
+    assert edge_pairs > BLOCK_CELLS and edge_pairs * PAIR_COST > h.m * h.m * h.n
+    assert vertex_pairs > BLOCK_CELLS and vertex_pairs * PAIR_COST > h.n * h.n * h.m
+    edge_keep, vertex_keep = _single_pair_keep_vectors(h)
+    assert not all(edge_keep) and not all(vertex_keep)
+    assert par_reduce_edges(A, h.demand) == edge_keep
+    assert par_reduce_vertices(A, h.demand) == vertex_keep
+    seq, par = seq_kernelize(h), par_kernelize(h)
+    assert (seq.alive_vertices, seq.alive_edges) == (par.alive_vertices, par.alive_edges)
+
+
+def test_phase_temporaries_stay_bounded_on_dense_input():
+    # One pair list of this instance would hold 300 * 150**2 pairs (about
+    # 270 MB of temporaries); chunked counting stays within a few blocks.
+    h = generate_random(n=300, m=300, p=0.5, alpha=2, seed=1)
+    A = incidence_matrix(h)
+    A.columns  # cached with the matrix, not a phase temporary
+    tracemalloc.start()
+    try:
+        par_reduce_edges(A, h.demand)
+        par_reduce_vertices(A, h.demand)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * BLOCK_CELLS
+
+
+@pytest.mark.parametrize("n, p", [(400, 0.025), (300, 0.5)])
+def test_count_paths_agree_beyond_one_chunk(n, p):
+    # Both paths split these counts into several chunks; the union must be
+    # the full product, with each pair in exactly one chunk.
+    A = incidence_matrix(generate_random(n=n, m=n, p=p, alpha=1, seed=1))
+    dense = np.zeros((A.rows, A.cols))
+    dense[np.repeat(np.arange(A.rows), A.row_sizes), A.words] = 1
+    for own, groups, product in (
+        ((A.indptr, A.words), A.columns, dense @ dense.T),
+        (A.columns, (A.indptr, A.words), dense.T @ dense),
+    ):
+        for path in (_dense_counts, _sparse_counts):
+            chunks = list(path(*own, *groups))
+            assert len(chunks) > 1
+            a, b, c = (np.concatenate(x) for x in zip(*chunks))
+            assert len(set(zip(a.tolist(), b.tolist()))) == a.size == np.count_nonzero(product)
+            assert (product[a, b] == c).all()
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_intersection_counts_match_triple_loop(seed):
     h = generate_random(n=2 + seed % 10, m=2 + seed % 10, p=0.5, alpha=2, seed=seed)
     A = incidence_matrix(h)
-    edge_counts = {(a, b): c for a, b, c in zip(*A.edge_pairs())}
-    vertex_counts = {(a, b): c for a, b, c in zip(*A.vertex_pairs())}
+    edge_counts = _counts(A.edge_pairs())
+    vertex_counts = _counts(A.vertex_pairs())
     for i in range(h.m):
         for j in range(h.m):
             naive = sum(
