@@ -28,8 +28,8 @@ from .instance import (
     serialize_instance,
     validate_feasibility,
 )
-from .parallel import par_kernelize, par_reduce_edges, par_reduce_vertices
-from .pipeline import PipelineSpec, compute_stats, run_pipeline
+from .parallel import par_reduce_edges, par_reduce_vertices
+from .pipeline import PipelineSpec, compute_stats, par_kernelize, run_pipeline, seq_kernelize
 from .report import KernelReport, KernelRun
 from .rules import (
     ActiveInstance,
@@ -43,7 +43,7 @@ from .rules import (
     pushed_max_oracle,
     supersedes,
 )
-from .sequential import ReductionState, init_state, seq_kernelize, seq_reduce_edges, seq_reduce_vertices
+from .sequential import ReductionState, init_state, seq_reduce_edges, seq_reduce_vertices
 from .solver import Solution, SolveStatus, solve_opt, verify_solution
 
 __all__ = [

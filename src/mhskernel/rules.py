@@ -23,7 +23,7 @@ tie-breaking by original index stays meaningful throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from .instance import Hypergraph
 from .solver import DEFAULT_NODE_LIMIT, SolveStatus, solve_opt
@@ -48,13 +48,11 @@ class ActiveInstance:
     input positions.
     """
 
-    def __init__(self, h: Hypergraph, demand: Sequence[int] | None = None):
+    def __init__(self, h: Hypergraph):
         self.h = h
         self.vertex_alive = [True] * h.n
         self.edge_alive = [True] * h.m
-        self.demand = list(h.demand if demand is None else demand)
-        if len(self.demand) != h.m:
-            raise ValueError("one demand per edge required")
+        self.demand = list(h.demand)
 
     def alive_vertex_ids(self) -> list[int]:
         return [j + 1 for j in range(self.h.n) if self.vertex_alive[j]]

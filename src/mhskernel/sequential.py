@@ -1,12 +1,13 @@
 """Incrementally maintained sequential reduction engine.
 
-Produces exactly the parallel engine's fixpoint, but instead of rebuilding
-matrices every round it maintains dense pairwise intersection counts under
-deletion and narrows each phase's scan with candidate lists.  A phase
-slices the candidates' rows out of the count matrix, ``bitmatrix.BLOCK_CELLS``
-cells at a time, and applies the same rule predicates as the parallel
-engine (:func:`rules.superseding`, :func:`rules.dominating`) to each
-block.  Candidates:
+The engine's state lives across the phases of a pipeline run (see
+:mod:`pipeline`): dense pairwise intersection counts of the alive items,
+kept up to date under deletion, plus candidate lists that narrow each
+phase's scan.  A phase slices the candidates' rows out of the count
+matrix, ``bitmatrix.BLOCK_CELLS`` cells at a time, and applies the same
+rule predicates as the parallel engine (:func:`rules.superseding`,
+:func:`rules.dominating`) to each block, so it deletes exactly what the
+parallel engine's phase deletes.  Candidates:
 
 * deleting an edge can only newly enable vertex domination for that edge's
   vertices, so they are the only new vertex candidates;
@@ -16,19 +17,19 @@ block.  Candidates:
 Candidate lists may hold duplicates and dead indices (cheap insertion
 keeps the amortized accounting: each item enters once at startup plus once
 per incident deletion); scans skip dead entries.  Rows and columns of dead
-items go stale rather than being zeroed; they are never read.
+items go stale rather than being zeroed; they are never read.  Demands
+are read-only: a rule that changes them (``fe``) or deletes items without
+updating the counts (``fe``, ``lp``) ends the state's life.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bitmatrix import BLOCK_CELLS
-from .instance import Hypergraph, instance_size, validate_feasibility
-from .report import KernelReport, KernelRun
+from .instance import Hypergraph
 from .rules import ActiveInstance, dominating, superseding
 
 
@@ -61,33 +62,37 @@ class ReductionState:
         return self.active.vertex_alive
 
 
-def init_state(h: Hypergraph, demand=None) -> ReductionState:
-    """Fill both matrices by pair counting and start with full candidate lists.
+def init_state(h: Hypergraph, active: ActiveInstance | None = None) -> ReductionState:
+    """Count the alive items of ``active`` (all of ``h`` when omitted) and
+    start with every alive item as a candidate.
 
-    Each vertex contributes one unit to every pair of its edges; each edge
-    contributes one unit to every pair of its vertices.
+    Each alive vertex contributes one unit to every pair of its alive
+    edges; each alive edge contributes one unit to every pair of its alive
+    vertices.  The state shares ``active``: its phases delete in place.
     """
-    active = ActiveInstance(h, demand)
+    if active is None:
+        active = ActiveInstance(h)
     # No count exceeds n or m, so the smallest unsigned type that holds both
     # suffices; the matrices are the engine's largest allocation.
     dtype = np.min_scalar_type(max(h.n, h.m))
+    cand_edges = active.alive_edge_ids()
+    cand_vertices = active.alive_vertex_ids()
     edge_inter = np.zeros((h.m, h.m), dtype=dtype)
-    for incident in h.vertex_edges:
-        idx = np.fromiter((i - 1 for i in incident), dtype=np.intp, count=len(incident))
+    for j in cand_vertices:
+        idx = np.array(active.vertex_incidences(j), dtype=np.intp) - 1
         edge_inter[np.ix_(idx, idx)] += 1
     vertex_inter = np.zeros((h.n, h.n), dtype=dtype)
-    for members in h.edges:
-        idx = np.fromiter((j - 1 for j in members), dtype=np.intp, count=len(members))
+    for i in cand_edges:
+        idx = np.array(active.edge_members(i), dtype=np.intp) - 1
         vertex_inter[np.ix_(idx, idx)] += 1
-    state = ReductionState(
+    return ReductionState(
         active=active,
         edge_inter=edge_inter,
         vertex_inter=vertex_inter,
-        cand_edges=list(range(1, h.m + 1)),
-        cand_vertices=list(range(1, h.n + 1)),
+        cand_edges=cand_edges,
+        cand_vertices=cand_vertices,
+        insertions=len(cand_edges) + len(cand_vertices),
     )
-    state.insertions = h.m + h.n
-    return state
 
 
 def _candidate_blocks(candidates: np.ndarray, width: int):
@@ -113,6 +118,7 @@ def seq_reduce_edges(state: ReductionState, rule: str = "dp") -> int:
     deleted set equals the parallel edge phase's.  Committing a deletion
     decrements the vertex co-occurrence counts over the edge's alive
     vertex pairs and queues those vertices as domination candidates.
+    Only ``"dp"`` empties the superseder candidates.
     """
     active = state.active
     alive = np.flatnonzero(active.edge_alive)
@@ -131,7 +137,10 @@ def seq_reduce_edges(state: ReductionState, rule: str = "dp") -> int:
         for v in members:
             state.cand_vertices.append(v + 1)
         state.insertions += len(members)
-    state.cand_edges.clear()
+    if rule == "dp":
+        # An exhaustive dp phase leaves no superseding pair; an se phase
+        # can leave dp superseders, since se implies dp but not conversely.
+        state.cand_edges.clear()
     return len(queued)
 
 
@@ -166,28 +175,3 @@ def seq_reduce_vertices(state: ReductionState) -> int:
         state.insertions += len(incident)
     state.cand_vertices.clear()
     return len(queued)
-
-
-def seq_kernelize(h: Hypergraph, demand=None) -> KernelRun:
-    """Alternate the two phases on one incrementally maintained state until
-    neither deletes anything; output matches the parallel engine exactly."""
-    check = validate_feasibility(h)
-    if not check:
-        raise ValueError(f"instance is infeasible: {check.reason}")
-    report = KernelReport(n_before=h.n, m_before=h.m, size_before=instance_size(h))
-    started = time.perf_counter()
-    state = init_state(h, demand)
-    while True:
-        report.rounds += 1
-        dropped_edges = seq_reduce_edges(state)
-        dropped_vertices = seq_reduce_vertices(state)
-        report.deleted_by_rule["dp"] += dropped_edges
-        report.deleted_by_rule["md"] += dropped_vertices
-        if dropped_edges == 0 and dropped_vertices == 0:
-            break
-    report.wall_times_ms["sequential-engine"] = (time.perf_counter() - started) * 1e3
-    reduced, vertex_ids, edge_ids = state.active.extract()
-    report.n_after = reduced.n
-    report.m_after = reduced.m
-    report.size_after = instance_size(reduced)
-    return KernelRun(reduced, report, tuple(vertex_ids), tuple(edge_ids))

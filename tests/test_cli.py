@@ -1,13 +1,24 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mhskernel
 from mhskernel import parse_instance
 from mhskernel.cli import main
 
 from conftest import CE_TEXT
+
+
+def run_python(*args):
+    """Run the interpreter in a child process that imports the package under test."""
+    src = str(Path(mhskernel.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture
@@ -104,18 +115,12 @@ def test_ingest_command(tmp_path, capsys):
 
 
 def test_module_entry_point(ce_file):
-    result = subprocess.run(
-        [sys.executable, "-m", "mhskernel", "solve", "-i", ce_file],
-        capture_output=True, text=True,
-    )
+    result = run_python("-m", "mhskernel", "solve", "-i", ce_file)
     assert result.returncode == 0
     assert json.loads(result.stdout)["cardinality"] == 3
 
 
 def test_import_stays_numpy_only():
     # scipy roughly doubles import time and peak memory of every CLI run.
-    result = subprocess.run(
-        [sys.executable, "-c", "import mhskernel, sys; assert 'scipy' not in sys.modules"],
-        capture_output=True, text=True,
-    )
+    result = run_python("-c", "import mhskernel, sys; assert 'scipy' not in sys.modules")
     assert result.returncode == 0, result.stderr

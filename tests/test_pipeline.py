@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -103,6 +104,29 @@ def test_engine_equivalence_end_to_end(seed):
     spec_seq = PipelineSpec(("dp", "md"), engine="sequential", loop=True)
     spec_par = PipelineSpec(("dp", "md"), engine="parallel", loop=True)
     assert run_pipeline(h, spec_seq)[0] == run_pipeline(h, spec_par)[0]
+
+
+@pytest.mark.parametrize(
+    "order", ["se,dp,md", "dp,se,md", "md,dp", "fe,dp,md", "fe,se,md,dp", "dp,md,lp", "lp,dp,md,fe"]
+)
+@pytest.mark.parametrize("seed", range(12))
+def test_engine_equivalence_over_phase_orders(order, seed):
+    # The sequential engine carries one count state across phases and
+    # rounds; the parallel engine rebuilds its matrix for every phase.
+    rng = random.Random(seed)
+    h = generate_random(n=rng.randint(2, 30), m=rng.randint(2, 30), p=rng.choice((0.1, 0.2, 0.35)),
+                        alpha=rng.randint(1, 4), seed=seed)
+    h = Hypergraph(h.n, h.edges, tuple(rng.randint(1, f) for f in h.demand))
+    for loop in (False, True):
+        (seq, seq_report), (par, par_report) = (
+            run_pipeline(h, PipelineSpec(tuple(order.split(",")), engine=engine, loop=loop, lp_oracle="pushed-max"))
+            for engine in ("sequential", "parallel")
+        )
+        assert seq == par
+        assert seq_report.deleted_by_rule == par_report.deleted_by_rule
+        assert seq_report.rounds == par_report.rounds
+        assert seq_report.budget_delta == par_report.budget_delta
+        assert seq_report.infeasible == par_report.infeasible
 
 
 @pytest.mark.parametrize(

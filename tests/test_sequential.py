@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,14 @@ from mhskernel import (
     md_applicable,
     par_kernelize,
     par_reduce_edges,
+    par_reduce_vertices,
+    pushed_max_oracle,
     seq_kernelize,
     seq_reduce_edges,
     seq_reduce_vertices,
     supersedes,
 )
+from mhskernel.rules import fe_pass, lp_pass
 from mhskernel.sequential import BLOCK_CELLS
 
 from conftest import naive_edge_intersections, naive_vertex_intersections, singletons
@@ -170,6 +175,37 @@ def test_invariant_after_every_substep(seed):
         assert_invariant(state)
         if dropped == 0:
             break
+
+
+@pytest.mark.parametrize("rule", ["fe", "lp"])
+@pytest.mark.parametrize("seed", range(12))
+def test_init_state_on_overlay_after_fe_or_lp(seed, rule):
+    # Edge 1 is full and the last edge is doubled, so fe and lp both delete.
+    h = generate_random(n=10 + seed, m=8 + seed, p=0.4, alpha=3, seed=seed)
+    rng = random.Random(seed)
+    demand = [len(h.edges[0])] + [rng.randint(1, f) for f in h.demand[1:]]
+    h = Hypergraph(h.n, h.edges + h.edges[-1:], tuple(demand) + (demand[-1],))
+
+    def overlay():
+        active = ActiveInstance(h)
+        if rule == "fe":
+            assert fe_pass(active).deleted_edges
+        else:
+            assert lp_pass(active, pushed_max_oracle)
+        return active
+
+    state = init_state(h, overlay())
+    assert_invariant(state)
+    assert state.cand_edges == state.active.alive_edge_ids()
+    assert state.cand_vertices == state.active.alive_vertex_ids()
+
+    sub, vertex_ids, edge_ids = state.active.extract()
+    seq_reduce_edges(state)
+    assert [state.edge_alive[i - 1] for i in edge_ids] == par_reduce_edges(incidence_matrix(sub), sub.demand)
+
+    state = init_state(h, overlay())
+    seq_reduce_vertices(state)
+    assert [state.vertex_alive[j - 1] for j in vertex_ids] == par_reduce_vertices(incidence_matrix(sub), sub.demand)
 
 
 @pytest.mark.parametrize("seed", range(40))
