@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("seq", "par"), default="seq")
     p.add_argument("--loop", action="store_true", help="repeat the phase list until nothing changes")
     p.add_argument("--report", help="write the JSON report here (default: stdout)")
-    p.add_argument("--bounds", action="store_true", help="also compute the size/iteration bounds (slow)")
+    p.add_argument("--bounds", action="store_true", help="also compute the size/iteration bounds")
     p.add_argument("--lp-oracle", choices=("exact", "pushed-max"), default="exact")
     p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; any count gives identical results")
     p.set_defaults(func=_cmd_reduce)

@@ -3,16 +3,22 @@
 These are the verification-side parameters: the reduced size reachable by
 the edge/vertex deletion rules is bounded by ``2 * alpha * dilworth`` of
 the incidence graph, and the engines' round count is bounded by its
-matching number plus one.  Everything here is exact and meant for desk
-scale, not production preprocessing.
+matching number plus one.  Everything here is exact.
+
+The containment preorder and the twin relation are read off the pairwise
+common-neighbour counts ``|N(a) ∩ N(b)|``, taken in bounded chunks by the
+same co-occurrence kernel as the reduction engines (:mod:`.bitmatrix`);
+no count matrix is held, only ``num_nodes²`` booleans.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
+import numpy as np
+
+from .bitmatrix import IncidenceMatrix
 from .instance import Hypergraph
 
 
@@ -39,10 +45,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return sum(len(s) for s in self.adj) // 2
-
-    @cached_property
-    def adj_bits(self) -> tuple[int, ...]:
-        return tuple(sum(1 << v for v in s) for s in self.adj)
 
 
 @dataclass(frozen=True)
@@ -75,76 +77,75 @@ def incidence_graph(h: Hypergraph) -> IncidenceGraph:
 
 def vinical_leq(g: Graph, u: int, v: int) -> bool:
     """Whether u's neighborhood is contained in v's closed neighborhood."""
-    if not (0 <= u < g.num_nodes and 0 <= v < g.num_nodes):
-        raise IndexError(f"node out of range 0..{g.num_nodes - 1}")
-    closed_v = g.adj_bits[v] | (1 << v)
-    return g.adj_bits[u] & ~closed_v == 0
+    n = len(g.adj)
+    if not (0 <= u < n and 0 <= v < n):
+        raise IndexError(f"node out of range 0..{n - 1}")
+    return g.adj[u] <= g.adj[v] | {v}
 
 
-def _comparability_classes(g: Graph) -> tuple[list[list[int]], list[list[bool]]]:
-    """Group mutually comparable nodes and return the strict class order.
-
-    The containment relation above is a preorder; nodes comparable in both
-    directions collapse into one class (such a class is itself a chain).
-    The induced relation between distinct classes is a strict partial
-    order, returned as a dense boolean matrix over class indices.
-    """
+def _common_neighbours(g: Graph):
+    """Degrees, the adjacency matrix, and chunks ``(a, b, common)`` of the
+    node pairs with ``common = |N(a) ∩ N(b)| >= 1`` (``a == b`` included)."""
     n = g.num_nodes
-    leq = [[vinical_leq(g, u, v) for v in range(n)] for u in range(n)]
-    class_of = [-1] * n
-    classes: list[list[int]] = []
-    for u in range(n):
-        if class_of[u] >= 0:
-            continue
-        cls = len(classes)
-        classes.append([u])
-        class_of[u] = cls
-        for v in range(u + 1, n):
-            if class_of[v] < 0 and leq[u][v] and leq[v][u]:
-                class_of[v] = cls
-                classes[cls].append(v)
-    k = len(classes)
-    below = [[False] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            if a != b and leq[classes[a][0]][classes[b][0]]:
-                below[a][b] = True
-    return classes, below
+    deg = np.fromiter(map(len, g.adj), dtype=np.intp, count=n)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(deg, out=indptr[1:])
+    nbr = np.fromiter((v for s in g.adj for v in sorted(s)), dtype=np.intp, count=int(indptr[-1]))
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.repeat(np.arange(n), deg), nbr] = True
+    return deg, adj, IncidenceMatrix(n, n, indptr, nbr).edge_pairs()
 
 
 def dilworth_number(g: Graph) -> int:
     """Minimum number of chains of the neighborhood-containment preorder
     covering all nodes; equals the largest antichain.  0 for the empty graph.
 
-    Computed as a minimum path cover of the quotient order: number of
-    classes minus a maximum matching of the split comparability graph.
+    ``a <= b`` iff ``|N(a) ∩ N(b)| + [a ~ b] == deg(a)``.  Nodes comparable
+    in both directions collapse into one class (itself a chain), named by
+    its lowest node; the answer is a minimum path cover of the strict class
+    order: number of classes minus a maximum matching of the split
+    comparability graph.
     """
-    if g.num_nodes == 0:
+    n = g.num_nodes
+    if n == 0:
         return 0
-    classes, below = _comparability_classes(g)
-    k = len(classes)
-    adjacency = {a: [b for b in range(k) if below[a][b]] for a in range(k)}
-    return k - _hopcroft_karp(list(range(k)), adjacency)
+    deg, adj, pairs = _common_neighbours(g)
+    # Pairs sharing no neighbour: N(a) ⊆ {b}, so a is isolated or a leaf of b.
+    leq = deg[:, None] == adj
+    for a, b, common in pairs:
+        leq[a, b] = common + adj[a, b] == deg[a]
+    del adj
+    rep = (leq & leq.T).argmax(axis=1)
+    classes = np.flatnonzero(rep == np.arange(n))
+    below = leq[np.ix_(classes, classes)]
+    np.fill_diagonal(below, False)
+    adjacency = {a: np.flatnonzero(row).tolist() for a, row in enumerate(below)}
+    return classes.size - _hopcroft_karp(list(range(classes.size)), adjacency)
 
 
 def neighborhood_diversity(g: Graph) -> int:
     """Number of classes of nodes with identical neighborhoods up to each
-    other (adjacent twins and non-adjacent twins both collapse)."""
+    other (adjacent twins and non-adjacent twins both collapse).
+
+    ``a`` and ``b`` are twins iff ``deg(a) - [a ~ b] == |N(a) ∩ N(b)| ==
+    deg(b) - [a ~ b]``.  Being twins is an equivalence, so the classes are
+    counted as the nodes without a lower-numbered twin.
+    """
     n = g.num_nodes
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(n):
-        bu = g.adj_bits[u]
-        for v in range(u + 1, n):
-            if bu & ~(1 << v) == g.adj_bits[v] & ~(1 << u):
-                parent[find(u)] = find(v)
-    return len({find(x) for x in range(n)})
+    if n == 0:
+        return 0
+    deg, adj, pairs = _common_neighbours(g)
+    lower_twin = np.zeros(n, dtype=bool)
+    # Twins sharing no neighbour: two isolated nodes, or two adjacent leaves.
+    lower_twin[np.flatnonzero(deg == 0)[1:]] = True
+    leaf = np.flatnonzero(deg == 1)
+    mate = adj[leaf].argmax(axis=1)
+    lower_twin[leaf[(deg[mate] == 1) & (mate < leaf)]] = True
+    for a, b, common in pairs:
+        rest = common + adj[a, b]
+        twin = (b < a) & (rest == deg[a]) & (rest == deg[b])
+        lower_twin[a[twin]] = True
+    return n - int(np.count_nonzero(lower_twin))
 
 
 def _bipartition(g: Graph) -> tuple[list[int], list[int]]:

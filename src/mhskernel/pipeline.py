@@ -139,8 +139,8 @@ def run_pipeline(
 
     An infeasible input, or infeasibility detected mid-pipeline by the
     full-edge cascade, halts the run with ``infeasible=True`` in the
-    report.  Bound fields are filled only on request: the Dilworth number
-    computation is exponential-free but far from cheap.
+    report.  The bound fields, from the Dilworth and matching numbers of
+    the incidence graph, are filled only on request.
     """
     report = KernelReport(n_before=h.n, m_before=h.m, size_before=instance_size(h))
     if compute_bounds:

@@ -15,7 +15,7 @@ class KernelReport:
     """Before/after accounting of a reduction run.
 
     ``bound_2_alpha_nabla`` and ``matching_bound`` are filled only when the
-    caller asked for the (expensive) parameter computations; the wall times
+    caller asked for the parameter computations; the wall times
     are informational and never asserted by tests.
     """
 

@@ -1,8 +1,8 @@
 """Shared instances and independent oracles.
 
 Everything here is deliberately naive: subset enumeration, triple-loop
-counting, recursive matching search.  Oracles never reuse the code paths
-they check.
+counting, pairwise neighbourhood tests, recursive matching search.
+Oracles never reuse the code paths they check.
 """
 
 from __future__ import annotations
@@ -113,12 +113,94 @@ def brute_force_max_antichain(g: Graph) -> int:
     return best
 
 
+def naive_dilworth(g: Graph) -> int:
+    """Minimum chain cover of the containment preorder: classes from
+    pairwise ``vinical_leq``, minus a maximum matching of the strict class
+    order found by plain augmenting paths."""
+    n = g.num_nodes
+    leq = [[vinical_leq(g, u, v) for v in range(n)] for u in range(n)]
+    reps = [u for u in range(n) if not any(leq[u][v] and leq[v][u] for v in range(u))]
+    above = {a: [b for b in reps if b != a and leq[a][b]] for a in reps}
+    matched_to: dict[int, int] = {}
+
+    def augment(a: int, seen: set[int]) -> bool:
+        for b in above[a]:
+            if b not in seen:
+                seen.add(b)
+                if b not in matched_to or augment(matched_to[b], seen):
+                    matched_to[b] = a
+                    return True
+        return False
+
+    return len(reps) - sum(augment(a, set()) for a in reps)
+
+
+def naive_diversity(g: Graph) -> int:
+    """Classes of nodes whose neighbourhoods agree outside each other, by
+    pairwise set comparison and union-find."""
+    n = g.num_nodes
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u in range(n):
+        for v in range(u + 1, n):
+            if g.adj[u] - {v} == g.adj[v] - {u}:
+                parent[find(u)] = find(v)
+    return len({find(x) for x in range(n)})
+
+
 def random_graph(seed: int, max_nodes: int = 12) -> Graph:
     rng = random.Random(seed)
     n = rng.randint(1, max_nodes)
     p = rng.choice([0.15, 0.3, 0.5, 0.8])
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, pairs)
+
+
+def mixed_graph(seed: int) -> Graph:
+    """Isolated nodes, adjacent leaf pairs, stars, a complete block and a
+    random part, under a seeded relabelling so no case sits at fixed ids."""
+    rng = random.Random(seed)
+    pairs: list[tuple[int, int]] = []
+    n = rng.randint(0, 3)  # isolated nodes
+    for _ in range(rng.randint(0, 3)):  # adjacent leaves
+        pairs.append((n, n + 1))
+        n += 2
+    for _ in range(rng.randint(0, 2)):  # stars
+        leaves = rng.randint(1, 4)
+        pairs.extend((n, n + k) for k in range(1, leaves + 1))
+        n += leaves + 1
+    block = rng.randint(0, 5)
+    pairs.extend(combinations(range(n, n + block), 2))
+    n += block
+    rest = rng.randint(0, 15)
+    p = rng.choice([0.1, 0.3, 0.6, 1.0])
+    pairs.extend((u, v) for u in range(n, n + rest) for v in range(u + 1, n + rest) if rng.random() < p)
+    n += rest
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in pairs])
+
+
+def response_matrix_csv(seed: int, rows: int, cols: int, modules: int) -> str:
+    """Gaussian responses with planted, overlapping modules: each row
+    responds on most columns of one module, so its thresholded edge is that
+    module with dropout plus a little noise."""
+    rng = random.Random(seed)
+    planted = [rng.sample(range(cols), rng.randint(5, 10)) for _ in range(modules)]
+    lines = []
+    for _ in range(rows):
+        values = [rng.gauss(0.0, 1.0) for _ in range(cols)]
+        for c in rng.choice(planted):
+            if rng.random() < 0.95:
+                values[c] += 5.0
+        lines.append(",".join(f"{v:.3f}" for v in values))
+    return "\n".join(lines) + "\n"
 
 
 def nested_neighborhood_graph(n: int) -> Graph:

@@ -124,3 +124,17 @@ def test_import_stays_numpy_only():
     # scipy roughly doubles import time and peak memory of every CLI run.
     result = run_python("-c", "import mhskernel, sys; assert 'scipy' not in sys.modules")
     assert result.returncode == 0, result.stderr
+
+
+def test_parameters_stay_numpy_only(ce_file):
+    # stats and reduce --bounds compute every graph parameter; none may pull in scipy.
+    code = (
+        "import sys\n"
+        "from mhskernel.cli import main\n"
+        f"assert main(['stats', '-i', {ce_file!r}, '--dilworth', '--diversity', '--matching', '--size']) == 0\n"
+        f"assert main(['reduce', '-i', {ce_file!r}, '--bounds']) == 0\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+    )
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert '"dilworth": 4' in result.stdout and '"bound_2_alpha_nabla": 16' in result.stdout

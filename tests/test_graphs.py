@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -8,17 +9,24 @@ from mhskernel import (
     Hypergraph,
     dilworth_number,
     incidence_graph,
+    ingest_response_matrix,
     kernel_bound,
     matching_number,
     neighborhood_diversity,
     vinical_leq,
 )
+from mhskernel import bitmatrix
+from mhskernel.bitmatrix import BLOCK_CELLS
 
 from conftest import (
     brute_force_matching,
     brute_force_max_antichain,
+    mixed_graph,
+    naive_dilworth,
+    naive_diversity,
     nested_neighborhood_graph,
     random_graph,
+    response_matrix_csv,
     singletons,
 )
 
@@ -140,3 +148,77 @@ def test_kernel_bound(ce):
     nabla = dilworth_number(incidence_graph(ce).graph)
     assert kernel_bound(ce) == 2 * 2 * nabla
     assert nabla == 4  # frozen from the antichain oracle
+
+
+def assert_matches_oracles(g):
+    assert dilworth_number(g) == naive_dilworth(g)
+    assert neighborhood_diversity(g) == naive_diversity(g)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_parameters_match_oracles_on_mixed_graphs(seed):
+    assert_matches_oracles(mixed_graph(seed))
+
+
+def test_parameters_match_oracles_on_small_cases():
+    for n in range(5):
+        assert_matches_oracles(Graph.from_edges(n, []))
+        assert_matches_oracles(Graph.from_edges(n, list(combinations(range(n), 2))))
+    assert_matches_oracles(Graph.from_edges(4, [(2, 0), (3, 1)]))  # two adjacent leaf pairs
+    assert_matches_oracles(Graph.from_edges(5, [(4, 1), (4, 2), (4, 3)]))  # star and an isolated node
+
+
+@pytest.mark.parametrize("seed, rows, cols, modules", [(1, 450, 64, 5), (2, 300, 50, 7), (4, 250, 50, 6)])
+def test_parameters_match_oracles_on_screen_inputs(seed, rows, cols, modules):
+    h = ingest_response_matrix(response_matrix_csv(seed, rows, cols, modules), alpha=2)
+    g = incidence_graph(h).graph
+    # The co-occurrence kernel emits sum(deg²) pairs: several chunks here.
+    assert sum(len(s) ** 2 for s in g.adj) > 2 * BLOCK_CELLS
+    assert_matches_oracles(g)
+
+
+def planted_dense_graph(seed: int, half: int = 150, p: float = 0.5) -> Graph:
+    """A dense random part of ``half`` nodes, plus for each node one node
+    adjacent to a subset of its neighbours (below it in the containment
+    preorder); every fifth added node copies the previous one (a twin)."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(half) for v in range(u + 1, half) if rng.random() < p]
+    nbrs = [set() for _ in range(half)]
+    for u, v in pairs:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    keep: set[int] = set()
+    for u in range(half):
+        if u % 5:
+            keep = {w for w in nbrs[u] if rng.random() < 0.9}
+        pairs.extend((w, half + u) for w in keep)
+    return Graph.from_edges(2 * half, pairs)
+
+
+def test_parameters_match_oracles_on_dense_graph(monkeypatch):
+    g = planted_dense_graph(1)
+
+    def no_sparse_path(*args):
+        raise AssertionError("expected the blocked-product path")
+
+    monkeypatch.setattr(bitmatrix, "_sparse_counts", no_sparse_path)
+    nabla, diversity = dilworth_number(g), neighborhood_diversity(g)
+    assert nabla == naive_dilworth(g)
+    assert diversity == naive_diversity(g)
+    assert nabla < g.num_nodes // 2 + 10 and diversity < g.num_nodes  # comparabilities and twins exist
+
+
+def test_parameter_temporaries_stay_bounded_on_sparse_graph():
+    # Only boolean num_nodes² arrays are held; one int64 count matrix of
+    # this graph alone (18 MB) would break the bound.
+    n = 1500
+    rng = random.Random(7)
+    g = Graph.from_edges(n, {tuple(sorted(rng.sample(range(n), 2))) for _ in range(2 * n)})
+    tracemalloc.start()
+    try:
+        dilworth_number(g)
+        neighborhood_diversity(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n + 400 * BLOCK_CELLS
