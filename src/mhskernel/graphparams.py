@@ -195,14 +195,25 @@ def _hopcroft_karp(left: list[int], adjacency: dict[int, list[int]]) -> int:
         if not reachable_free:
             return size
 
-        def try_augment(u: int) -> bool:
-            for v in adjacency[u]:
-                w = match_r.get(v)
-                if w is None or (dist.get(w) == dist[u] + 1 and try_augment(w)):
-                    match_l[u] = v
-                    match_r[v] = u
-                    return True
-            dist[u] = INF
+        def try_augment(root: int) -> bool:
+            # An explicit stack, as a path can be as long as the graph; each
+            # node above the root was reached through its partner match_l[node].
+            stack = [(root, iter(adjacency[root]))]
+            while stack:
+                u, untried = stack[-1]
+                for v in untried:
+                    w = match_r.get(v)
+                    if w is None:
+                        for node, _ in reversed(stack):
+                            match_r[v] = node
+                            match_l[node], v = v, match_l[node]
+                        return True
+                    if dist.get(w) == dist[u] + 1:
+                        stack.append((w, iter(adjacency[w])))
+                        break
+                else:
+                    dist[u] = INF
+                    stack.pop()
             return False
 
         for u in left:

@@ -12,9 +12,11 @@ rules (``dp`` and ``se``) and ``md`` through the same predicates of
 * the parallel engine extracts the alive subinstance and builds its
   incidence matrix for each such phase;
 * the sequential engine keeps one :class:`sequential.ReductionState`
-  across phases and rounds, built when first needed and discarded only
-  after ``fe`` or ``lp`` deleted something, since those rules do not
-  update its counts.
+  across phases and rounds, rebuilt by one pass of the same co-occurrence
+  kernel only after ``fe`` or ``lp`` deleted something (neither updates
+  its counts).
+
+``lp`` scans each alive edge once per phase (:func:`rules.lp_pass`).
 """
 
 from __future__ import annotations

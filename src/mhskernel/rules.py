@@ -278,16 +278,19 @@ def lp_rule_applicable(
 
 
 def lp_pass(active: ActiveInstance, oracle: LowerBoundOracle = exact_oracle) -> set[int]:
-    """Apply the lower-bound rule edge by edge until a full scan deletes
-    nothing, refreshing state after each deletion (deleting an edge removes
-    its pushed demand from the remaining subinstances)."""
+    """Apply the lower-bound rule to each alive edge once, in id order,
+    deleting as it goes; returns the deleted edges.
+
+    One scan is exhaustive for an oracle whose bound never rises when a
+    pushed constraint is removed.  lp deletes only edges, so a deletion
+    only removes one pushed constraint from the other edges' subinstances,
+    and neither shipped oracle's bound (the exact optimum, or the largest
+    push) can rise: a finished scan leaves no deletable edge, unless an
+    oracle call raised.  Such an edge is retried in the next round of a
+    looped pipeline, if that round deleted anything."""
     deleted: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for j in active.alive_edge_ids():
-            if lp_rule_applicable(active, j, oracle):
-                active.edge_alive[j - 1] = False
-                deleted.add(j)
-                changed = True
+    for j in active.alive_edge_ids():
+        if lp_rule_applicable(active, j, oracle):
+            active.edge_alive[j - 1] = False
+            deleted.add(j)
     return deleted

@@ -2,10 +2,11 @@
 
 The engine's state lives across the phases of a pipeline run (see
 :mod:`pipeline`): dense pairwise intersection counts of the alive items,
-kept up to date under deletion, plus candidate lists that narrow each
-phase's scan.  A phase slices the candidates' rows out of the count
-matrix, ``bitmatrix.BLOCK_CELLS`` cells at a time, and applies the same
-rule predicates as the parallel engine (:func:`rules.superseding`,
+taken once from the co-occurrence kernel of :mod:`bitmatrix` and kept up
+to date under deletion by one commit routine, plus candidate lists that
+narrow each phase's scan.  A phase slices the candidates' rows out of the
+count matrix, ``bitmatrix.BLOCK_CELLS`` cells at a time, and applies the
+same rule predicates as the parallel engine (:func:`rules.superseding`,
 :func:`rules.dominating`) to each block, so it deletes exactly what the
 parallel engine's phase deletes.  Candidates:
 
@@ -19,7 +20,8 @@ keeps the amortized accounting: each item enters once at startup plus once
 per incident deletion); scans skip dead entries.  Rows and columns of dead
 items go stale rather than being zeroed; they are never read.  Demands
 are read-only: a rule that changes them (``fe``) or deletes items without
-updating the counts (``fe``, ``lp``) ends the state's life.
+updating the counts (``fe``, ``lp``) ends the state's life, and the next
+state is counted afresh, in one kernel pass over the survivors.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmatrix import BLOCK_CELLS
+from .bitmatrix import BLOCK_CELLS, incidence_matrix
 from .instance import Hypergraph
 from .rules import ActiveInstance, dominating, superseding
 
@@ -66,33 +68,36 @@ def init_state(h: Hypergraph, active: ActiveInstance | None = None) -> Reduction
     """Count the alive items of ``active`` (all of ``h`` when omitted) and
     start with every alive item as a candidate.
 
-    Each alive vertex contributes one unit to every pair of its alive
-    edges; each alive edge contributes one unit to every pair of its alive
-    vertices.  The state shares ``active``: its phases delete in place.
+    The counts are the co-occurrence kernel's chunks for the compacted
+    alive subinstance, scattered back to original ids.  The state shares
+    ``active``: its phases delete in place.
     """
     if active is None:
         active = ActiveInstance(h)
     # No count exceeds n or m, so the smallest unsigned type that holds both
     # suffices; the matrices are the engine's largest allocation.
     dtype = np.min_scalar_type(max(h.n, h.m))
-    cand_edges = active.alive_edge_ids()
-    cand_vertices = active.alive_vertex_ids()
-    edge_inter = np.zeros((h.m, h.m), dtype=dtype)
-    for j in cand_vertices:
-        idx = np.array(active.vertex_incidences(j), dtype=np.intp) - 1
-        edge_inter[np.ix_(idx, idx)] += 1
-    vertex_inter = np.zeros((h.n, h.n), dtype=dtype)
-    for i in cand_edges:
-        idx = np.array(active.edge_members(i), dtype=np.intp) - 1
-        vertex_inter[np.ix_(idx, idx)] += 1
+    sub, vertex_ids, edge_ids = active.extract()
+    matrix = incidence_matrix(sub)
+    edge_inter = _scatter(matrix.edge_pairs(), edge_ids, h.m, dtype)
+    vertex_inter = _scatter(matrix.vertex_pairs(), vertex_ids, h.n, dtype)
     return ReductionState(
         active=active,
         edge_inter=edge_inter,
         vertex_inter=vertex_inter,
-        cand_edges=cand_edges,
-        cand_vertices=cand_vertices,
-        insertions=len(cand_edges) + len(cand_vertices),
+        cand_edges=edge_ids,
+        cand_vertices=vertex_ids,
+        insertions=len(edge_ids) + len(vertex_ids),
     )
+
+
+def _scatter(chunks, ids: list[int], size: int, dtype) -> np.ndarray:
+    """``size × size`` counts of ``chunks``, compacted index ``k`` placed at ``ids[k]``."""
+    original = np.array(ids, dtype=np.intp) - 1
+    out = np.zeros((size, size), dtype=dtype)
+    for a, b, common in chunks:
+        out[original[a], original[b]] = common
+    return out
 
 
 def _candidate_blocks(candidates: np.ndarray, width: int):
@@ -108,17 +113,30 @@ def _alive_candidates(queue: list[int], alive: list[bool]) -> np.ndarray:
     return np.array([k - 1 for k in dict.fromkeys(queue) if alive[k - 1]], dtype=np.intp)
 
 
+def _commit(state: ReductionState, doomed: list[int], alive: list[bool], partners, inter: np.ndarray,
+            queue: list[int]) -> None:
+    """Mark the 1-based items ``doomed`` dead in ``alive``; the counts
+    ``inter`` lose one unit over every pair of each item's alive
+    ``partners`` (an edge's vertices, a vertex's edges), which join ``queue``."""
+    for k in doomed:
+        alive[k - 1] = False
+        members = partners(k)
+        idx = [p - 1 for p in members]
+        inter[np.ix_(idx, idx)] -= 1
+        queue.extend(members)
+        state.insertions += len(members)
+
+
 def seq_reduce_edges(state: ReductionState, rule: str = "dp") -> int:
     """One exhaustive edge phase under ``rule`` (see
     :func:`rules.superseding`); returns the deletion count.
 
     The candidate superseders are checked against every alive edge, one
     block of rows of ``edge_inter`` at a time, with the shared predicate
-    on a fixed snapshot (deletions are committed afterwards), so the
-    deleted set equals the parallel edge phase's.  Committing a deletion
-    decrements the vertex co-occurrence counts over the edge's alive
-    vertex pairs and queues those vertices as domination candidates.
-    Only ``"dp"`` empties the superseder candidates.
+    on a fixed snapshot (deletions are committed afterwards, queueing the
+    edges' vertices as domination candidates), so the deleted set equals
+    the parallel edge phase's.  Only ``"dp"`` empties the superseder
+    candidates.
     """
     active = state.active
     alive = np.flatnonzero(active.edge_alive)
@@ -130,13 +148,7 @@ def seq_reduce_edges(state: ReductionState, rule: str = "dp") -> int:
         common = state.edge_inter[i, alive]
         doomed |= superseding(common, size[i], f[i], i, size[alive], f[alive], alive, rule).any(axis=0)
     queued = (alive[doomed] + 1).tolist()
-    for j in queued:
-        active.edge_alive[j - 1] = False
-        members = [v - 1 for v in active.edge_members(j)]
-        state.vertex_inter[np.ix_(members, members)] -= 1
-        for v in members:
-            state.cand_vertices.append(v + 1)
-        state.insertions += len(members)
+    _commit(state, queued, active.edge_alive, active.edge_members, state.vertex_inter, state.cand_vertices)
     if rule == "dp":
         # An exhaustive dp phase leaves no superseding pair; an se phase
         # can leave dp superseders, since se implies dp but not conversely.
@@ -151,9 +163,8 @@ def seq_reduce_vertices(state: ReductionState) -> int:
     :func:`rules.dominating`) as the largest demand among its alive edges
     (zero, hence immediate deletion, for a vertex left in no edge); the
     dominators are counted one block of rows of ``vertex_inter`` at a
-    time on a fixed snapshot.  Committing a deletion decrements the edge
-    intersection counts over the vertex's alive incident pairs and queues
-    those edges as superseder candidates.
+    time on a fixed snapshot; committing a deletion queues the vertex's
+    edges as superseder candidates.
     """
     active = state.active
     demand = active.demand
@@ -166,12 +177,6 @@ def seq_reduce_vertices(state: ReductionState) -> int:
         common = state.vertex_inter[j, alive]
         dominators = dominating(common, deg[alive], alive, deg[j], j).sum(axis=1)
         queued.extend((block[dominators >= need] + 1).tolist())
-    for j in queued:
-        active.vertex_alive[j - 1] = False
-        incident = [i - 1 for i in active.vertex_incidences(j)]
-        state.edge_inter[np.ix_(incident, incident)] -= 1
-        for i in incident:
-            state.cand_edges.append(i + 1)
-        state.insertions += len(incident)
+    _commit(state, queued, active.vertex_alive, active.vertex_incidences, state.edge_inter, state.cand_edges)
     state.cand_vertices.clear()
     return len(queued)

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from mhskernel import Graph, Hypergraph, parse_instance, vinical_leq
+from mhskernel import Graph, Hypergraph, lp_rule_applicable, parse_instance, vinical_leq
 
 # Three edges {1,2}, {2,3,4}, {2,3,5}, all demanding two hits.  The
 # canonical regression instance: vertex 3 must never be deleted by the
@@ -75,6 +75,21 @@ def naive_vertex_intersections(h: Hypergraph, edge_alive, vertex_alive):
          for j in range(h.n)]
         for i in range(h.n)
     ]
+
+
+def rescan_lp_pass(active, oracle) -> set[int]:
+    """The lower-bound rule applied edge by edge, rescanning every alive
+    edge after any scan that deleted something, until one deletes nothing."""
+    deleted: set[int] = set()
+    changed = True
+    while changed:
+        changed = False
+        for j in active.alive_edge_ids():
+            if lp_rule_applicable(active, j, oracle):
+                active.edge_alive[j - 1] = False
+                deleted.add(j)
+                changed = True
+    return deleted
 
 
 def brute_force_matching(g: Graph) -> int:

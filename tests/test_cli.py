@@ -127,14 +127,31 @@ def test_import_stays_numpy_only():
 
 
 def test_parameters_stay_numpy_only(ce_file):
-    # stats and reduce --bounds compute every graph parameter; none may pull in scipy.
+    # stats and reduce --bounds compute every graph parameter, and the reduce
+    # runs apply every rule on both engines; none may pull in scipy.
     code = (
         "import sys\n"
         "from mhskernel.cli import main\n"
         f"assert main(['stats', '-i', {ce_file!r}, '--dilworth', '--diversity', '--matching', '--size']) == 0\n"
         f"assert main(['reduce', '-i', {ce_file!r}, '--bounds']) == 0\n"
+        f"for engine in ('seq', 'par'):\n"
+        f"    assert main(['reduce', '-i', {ce_file!r}, '--rules', 'fe,dp,se,md,lp', '--loop', '--engine', engine]) == 0\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
     )
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert '"dilworth": 4' in result.stdout and '"bound_2_alpha_nabla": 16' in result.stdout
+
+
+def test_matching_on_long_augmenting_path(tmp_path, capsys):
+    # The incidence graph is a path on 2n nodes, labelled so that the first
+    # layered phase matches the wrong way and the last augmenting path runs
+    # through the whole graph, far deeper than the recursion limit.
+    n = 1500
+    lines = [f"p mhs {n} {n}", f"e 1 1 {n}"]
+    lines += [f"e 1 {i} {i + 1}" for i in range(1, n - 1)]
+    lines.append(f"e 1 {n - 1}")
+    path = tmp_path / "path.mhs"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["stats", "-i", str(path), "--matching"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"matching": n}

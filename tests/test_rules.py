@@ -18,7 +18,7 @@ from mhskernel import (
 )
 from mhskernel.rules import fe_pass, lp_pass
 
-from conftest import brute_force_feasible, brute_force_opt, singletons
+from conftest import brute_force_feasible, brute_force_opt, rescan_lp_pass, singletons
 
 
 def active(h: Hypergraph) -> ActiveInstance:
@@ -266,3 +266,24 @@ class TestLpRule:
         reduced, _, _ = a.extract()
         assert brute_force_opt(h) == brute_force_opt(reduced)
         assert deleted == set(range(1, h.m + 1)) - set(a.alive_edge_ids())
+
+    @pytest.mark.parametrize("oracle", [exact_oracle, pushed_max_oracle], ids=["exact", "pushed-max"])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_lp_pass_single_scan_is_exhaustive(self, seed, oracle):
+        # The last edge is doubled, so every scan deletes something.
+        h = generate_random(n=10, m=7, p=0.45, alpha=3, seed=seed)
+        rng = random.Random(seed)
+        demand = [rng.randint(1, f) for f in h.demand]
+        h = Hypergraph(h.n, h.edges + h.edges[-1:], tuple(demand) + (demand[-1],))
+        calls = []
+
+        def counting(sub):
+            calls.append(sub)
+            return oracle(sub)
+
+        a = active(h)
+        deleted = lp_pass(a, counting)
+        assert deleted
+        assert len(calls) == h.m  # one oracle call per edge alive at phase start
+        assert deleted == rescan_lp_pass(active(h), oracle)
+        assert not any(lp_rule_applicable(a, j, oracle) for j in a.alive_edge_ids())

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mhskernel import (
     supersedes,
 )
 from mhskernel.rules import fe_pass, lp_pass
+from mhskernel import bitmatrix
 from mhskernel.sequential import BLOCK_CELLS
 
 from conftest import naive_edge_intersections, naive_vertex_intersections, singletons
@@ -254,3 +256,49 @@ def test_engines_agree_beyond_one_block(alpha):
                 assert not supersedes(survivors, i, j)
     for j in range(1, seq.hypergraph.n + 1):
         assert not md_applicable(survivors, j)
+
+
+def _full_edge_overlay(h):
+    """``h`` behind an overlay on which ``fe_pass`` deleted items."""
+    active = ActiveInstance(h)
+    assert fe_pass(active).deleted_edges
+    return active
+
+
+def test_init_state_spans_several_sparse_chunks_after_fe():
+    # Edge 1 is full: fe deletes it, its vertices and, with unit demands,
+    # every edge that meets it.
+    h = generate_random(n=400, m=400, p=0.025, alpha=1, seed=1)
+    h = Hypergraph(h.n, h.edges, (len(h.edges[0]),) + h.demand[1:])
+    state = init_state(h, _full_edge_overlay(h))
+    sub, _, _ = state.active.extract()
+    matrix = incidence_matrix(sub)
+    assert len(list(matrix.edge_pairs())) > 1 and len(list(matrix.vertex_pairs())) > 1
+    assert not all(state.edge_alive) and not all(state.vertex_alive)
+    assert_invariant(state)
+
+
+def test_init_state_on_dense_product_path_after_fe(monkeypatch):
+    # A full edge on two fresh vertices leads, so dead ids come first.
+    base = generate_random(n=300, m=300, p=0.5, alpha=2, seed=1)
+    edges = ((1, 2),) + tuple(tuple(v + 2 for v in e) for e in base.edges)
+    h = Hypergraph(base.n + 2, edges, (2,) + base.demand)
+
+    def no_pair_lists(*args):
+        raise AssertionError("dense input counted on the pair-list path")
+
+    monkeypatch.setattr(bitmatrix, "_sparse_counts", no_pair_lists)
+    state = init_state(h, _full_edge_overlay(h))
+    assert state.edge_alive[0] is False and state.vertex_alive[:2] == [False, False]
+    assert_invariant(state)
+
+
+def test_init_state_temporaries_stay_bounded_on_dense_input():
+    h = generate_random(n=300, m=300, p=0.5, alpha=2, seed=1)
+    tracemalloc.start()
+    try:
+        state = init_state(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < state.edge_inter.nbytes + state.vertex_inter.nbytes + 400 * BLOCK_CELLS
