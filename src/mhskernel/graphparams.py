@@ -5,10 +5,12 @@ the edge/vertex deletion rules is bounded by ``2 * alpha * dilworth`` of
 the incidence graph, and the engines' round count is bounded by its
 matching number plus one.  Everything here is exact.
 
-The containment preorder and the twin relation are read off the pairwise
-common-neighbour counts ``|N(a) ∩ N(b)|``, taken in bounded chunks by the
-same co-occurrence kernel as the reduction engines (:mod:`.bitmatrix`);
-no count matrix is held, only ``num_nodes²`` booleans.
+The containment preorder is read off the pairwise common-neighbour counts
+``|N(a) ∩ N(b)|``, taken in bounded chunks by the same co-occurrence
+kernel as the reduction engines (:mod:`.bitmatrix`); no count matrix is
+held, only ``num_nodes²`` booleans.  Two nodes lie below each other
+exactly when they are twins, so the preorder's classes are the twin
+classes that neighborhood diversity counts.
 """
 
 from __future__ import annotations
@@ -83,9 +85,14 @@ def vinical_leq(g: Graph, u: int, v: int) -> bool:
     return g.adj[u] <= g.adj[v] | {v}
 
 
-def _common_neighbours(g: Graph):
-    """Degrees, the adjacency matrix, and chunks ``(a, b, common)`` of the
-    node pairs with ``common = |N(a) ∩ N(b)| >= 1`` (``a == b`` included)."""
+def _containment(g: Graph):
+    """The containment preorder as a bool matrix ``leq``, and the lowest node
+    of each class of nodes comparable in both directions (the twin classes).
+
+    ``a <= b`` iff ``|N(a) ∩ N(b)| + [a ~ b] == deg(a)``, with the counts
+    taken in chunks of the node pairs that share a neighbour.  Needs at
+    least one node.
+    """
     n = g.num_nodes
     deg = np.fromiter(map(len, g.adj), dtype=np.intp, count=n)
     indptr = np.zeros(n + 1, dtype=np.intp)
@@ -93,30 +100,27 @@ def _common_neighbours(g: Graph):
     nbr = np.fromiter((v for s in g.adj for v in sorted(s)), dtype=np.intp, count=int(indptr[-1]))
     adj = np.zeros((n, n), dtype=bool)
     adj[np.repeat(np.arange(n), deg), nbr] = True
-    return deg, adj, IncidenceMatrix(n, n, indptr, nbr).edge_pairs()
+    # Pairs sharing no neighbour: N(a) ⊆ {b}, so a is isolated or a leaf of b.
+    leq = deg[:, None] == adj
+    for a, b, common in IncidenceMatrix(n, n, indptr, nbr).edge_pairs():
+        leq[a, b] = common + adj[a, b] == deg[a]
+    del adj
+    rep = (leq & leq.T).argmax(axis=1)
+    return leq, np.flatnonzero(rep == np.arange(n))
 
 
 def dilworth_number(g: Graph) -> int:
     """Minimum number of chains of the neighborhood-containment preorder
     covering all nodes; equals the largest antichain.  0 for the empty graph.
 
-    ``a <= b`` iff ``|N(a) ∩ N(b)| + [a ~ b] == deg(a)``.  Nodes comparable
-    in both directions collapse into one class (itself a chain), named by
-    its lowest node; the answer is a minimum path cover of the strict class
-    order: number of classes minus a maximum matching of the split
-    comparability graph.
+    Nodes comparable in both directions collapse into one class (itself a
+    chain), named by its lowest node; the answer is a minimum path cover of
+    the strict class order: number of classes minus a maximum matching of
+    the split comparability graph.
     """
-    n = g.num_nodes
-    if n == 0:
+    if g.num_nodes == 0:
         return 0
-    deg, adj, pairs = _common_neighbours(g)
-    # Pairs sharing no neighbour: N(a) ⊆ {b}, so a is isolated or a leaf of b.
-    leq = deg[:, None] == adj
-    for a, b, common in pairs:
-        leq[a, b] = common + adj[a, b] == deg[a]
-    del adj
-    rep = (leq & leq.T).argmax(axis=1)
-    classes = np.flatnonzero(rep == np.arange(n))
+    leq, classes = _containment(g)
     below = leq[np.ix_(classes, classes)]
     np.fill_diagonal(below, False)
     adjacency = {a: np.flatnonzero(row).tolist() for a, row in enumerate(below)}
@@ -127,25 +131,13 @@ def neighborhood_diversity(g: Graph) -> int:
     """Number of classes of nodes with identical neighborhoods up to each
     other (adjacent twins and non-adjacent twins both collapse).
 
-    ``a`` and ``b`` are twins iff ``deg(a) - [a ~ b] == |N(a) ∩ N(b)| ==
-    deg(b) - [a ~ b]``.  Being twins is an equivalence, so the classes are
-    counted as the nodes without a lower-numbered twin.
+    ``a`` and ``b`` are twins, ``N(a) - {b} == N(b) - {a}``, exactly when
+    each lies below the other in the containment preorder, so these are
+    the classes :func:`dilworth_number` builds.
     """
-    n = g.num_nodes
-    if n == 0:
+    if g.num_nodes == 0:
         return 0
-    deg, adj, pairs = _common_neighbours(g)
-    lower_twin = np.zeros(n, dtype=bool)
-    # Twins sharing no neighbour: two isolated nodes, or two adjacent leaves.
-    lower_twin[np.flatnonzero(deg == 0)[1:]] = True
-    leaf = np.flatnonzero(deg == 1)
-    mate = adj[leaf].argmax(axis=1)
-    lower_twin[leaf[(deg[mate] == 1) & (mate < leaf)]] = True
-    for a, b, common in pairs:
-        rest = common + adj[a, b]
-        twin = (b < a) & (rest == deg[a]) & (rest == deg[b])
-        lower_twin[a[twin]] = True
-    return n - int(np.count_nonzero(lower_twin))
+    return _containment(g)[1].size
 
 
 def _bipartition(g: Graph) -> tuple[list[int], list[int]]:

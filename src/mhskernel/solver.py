@@ -2,7 +2,10 @@
 
 Ground truth for optimum-preservation checks and the default lower-bound
 provider for the subinstance-based edge deletion rule.  Deterministic:
-every branching choice is tie-broken by index.
+every branching choice is tie-broken by index.  The search starts from
+all vertices as its incumbent, with no heuristic pre-pass, and keeps its
+own stack: its node limit bounds the whole solve, and its depth is not
+bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -30,10 +33,6 @@ class Solution:
     nodes: int = 0
 
 
-class _NodeBudget(Exception):
-    pass
-
-
 def verify_solution(h: Hypergraph, chosen: Iterable[int]) -> bool:
     """Whether every edge's demand is met by the given vertex set."""
     picked = set(chosen)
@@ -46,44 +45,24 @@ def verify_solution(h: Hypergraph, chosen: Iterable[int]) -> bool:
     return all((bits & mask).bit_count() >= f for bits, f in zip(h.edge_bits, h.demand))
 
 
-def _greedy_cover(edge_bits: list[int], demand: list[int], n: int) -> int:
-    """Feasible solution mask by repeatedly taking the vertex hitting the
-    most unsatisfied edges (initial upper bound for the search)."""
-    residual = list(demand)
-    chosen = 0
-    while True:
-        best_v, best_gain = -1, 0
-        for v in range(n):
-            if chosen >> v & 1:
-                continue
-            gain = sum(1 for bits, r in zip(edge_bits, residual) if r > 0 and bits >> v & 1)
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        if best_v < 0:
-            return chosen
-        chosen |= 1 << best_v
-        for i, bits in enumerate(edge_bits):
-            if bits >> best_v & 1 and residual[i] > 0:
-                residual[i] -= 1
-
-
 def solve_opt(h: Hypergraph, node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
     """Minimum-cardinality multiple hitting set of ``h``.
 
     Returns an infeasible status when some edge demands more hits than it
-    has vertices.  Exceeding ``node_limit`` search nodes is reported as a
-    distinct status rather than a silently suboptimal answer.
+    has vertices.  The incumbent starts as all vertices, feasible once that
+    check passed; the search's first dive takes a vertex at every level, so
+    it is a greedy cover.  ``node_limit`` (at least 1) bounds the whole
+    solve: exceeding it is reported as a distinct status, with the best
+    cover found so far as the witness, rather than as a silently
+    suboptimal answer.
     """
+    if node_limit < 1:
+        raise ValueError(f"node limit must be at least 1, got {node_limit}")
     for bits, f in zip(h.edge_bits, h.demand):
         if f > bits.bit_count():
             return Solution(SolveStatus.INFEASIBLE, frozenset(), 0)
     edge_bits = list(h.edge_bits)
-    demand = list(h.demand)
     n = h.n
-
-    best_mask = _greedy_cover(edge_bits, demand, n)
-    best_size = best_mask.bit_count()
-    nodes = 0
 
     def packing_bound(residual: list[int], avail: int) -> int:
         # Disjoint edges each need `residual` distinct vertices, so their
@@ -99,11 +78,17 @@ def solve_opt(h: Hypergraph, node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
                 used |= live
         return bound
 
-    def search(count: int, residual: list[int], avail: int, picked: int) -> None:
-        nonlocal best_mask, best_size, nodes
+    best_mask = (1 << n) - 1
+    best_size = n
+    nodes = 0
+    status = SolveStatus.OPTIMAL
+    stack = [(0, list(h.demand), best_mask, 0)]
+    while stack:
+        count, residual, avail, picked = stack.pop()
         nodes += 1
         if nodes > node_limit:
-            raise _NodeBudget
+            status = SolveStatus.BUDGET_EXCEEDED
+            break
         # Select the tightest unsatisfied edge; none means `picked` is feasible.
         target, target_ratio = -1, -1.0
         for i, r in enumerate(residual):
@@ -111,36 +96,33 @@ def solve_opt(h: Hypergraph, node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
                 continue
             live = (edge_bits[i] & avail).bit_count()
             if r > live:
-                return  # demand no longer satisfiable on this branch
+                break  # demand no longer satisfiable on this branch
             ratio = r / live
             if ratio > target_ratio:
                 target, target_ratio = i, ratio
-        if target < 0:
-            if count < best_size:
-                best_mask, best_size = picked, count
-            return
-        if count + packing_bound(residual, avail) >= best_size:
-            return
-        # Branch on the highest-degree available vertex of the target edge.
-        candidates = edge_bits[target] & avail
-        branch_v, branch_deg = -1, -1
-        cand = candidates
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            deg = sum(1 for bits, r in zip(edge_bits, residual) if r > 0 and bits >> v & 1)
-            if deg > branch_deg:
-                branch_v, branch_deg = v, deg
-            cand ^= low
-        vbit = 1 << branch_v
-        taken = [r - 1 if bits & vbit and r > 0 else r for bits, r in zip(edge_bits, residual)]
-        search(count + 1, taken, avail & ~vbit, picked | vbit)
-        search(count, residual, avail & ~vbit, picked)
-
-    status = SolveStatus.OPTIMAL
-    try:
-        search(0, demand, (1 << n) - 1 if n else 0, 0)
-    except _NodeBudget:
-        status = SolveStatus.BUDGET_EXCEEDED
+        else:
+            if target < 0:
+                if count < best_size:
+                    best_mask, best_size = picked, count
+                continue
+            if count + packing_bound(residual, avail) >= best_size:
+                continue
+            # Branch on the highest-degree available vertex of the target edge.
+            candidates = edge_bits[target] & avail
+            branch_v, branch_deg = -1, -1
+            cand = candidates
+            while cand:
+                low = cand & -cand
+                v = low.bit_length() - 1
+                deg = sum(1 for bits, r in zip(edge_bits, residual) if r > 0 and bits >> v & 1)
+                if deg > branch_deg:
+                    branch_v, branch_deg = v, deg
+                cand ^= low
+            vbit = 1 << branch_v
+            taken = [r - 1 if bits & vbit and r > 0 else r for bits, r in zip(edge_bits, residual)]
+            # The skip branch goes below the take branch, so it is searched
+            # after the take branch's whole subtree, against its incumbent.
+            stack.append((count, residual, avail & ~vbit, picked))
+            stack.append((count + 1, taken, avail & ~vbit, picked | vbit))
     chosen = frozenset(v + 1 for v in range(n) if best_mask >> v & 1)
     return Solution(status, chosen, len(chosen), nodes)

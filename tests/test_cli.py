@@ -74,6 +74,23 @@ def test_solve_node_limit_exit_code(tmp_path, capsys):
                  "--seed", "3", "-o", str(instance)]) == 0
     capsys.readouterr()
     assert main(["solve", "-i", str(instance), "--node-limit", "1"]) == 3
+    capsys.readouterr()
+    assert main(["solve", "-i", str(instance), "--node-limit", "-5"]) == 2
+    assert "node limit" in capsys.readouterr().err
+
+
+def test_solve_deeper_than_recursion_limit(tmp_path, capsys):
+    # A path {i, i+1}: the search's first dive alone takes about length / 2
+    # vertices, one per level, far deeper than the interpreter's recursion limit.
+    length = 2 * sys.getrecursionlimit() + 100
+    lines = [f"p mhs {length} {length - 1}"]
+    lines += [f"e 1 {i} {i + 1}" for i in range(1, length)]
+    path = tmp_path / "chain.mhs"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["solve", "-i", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "optimal"
+    assert payload["cardinality"] == length // 2
 
 
 def test_infeasible_exit_code(tmp_path, capsys):
@@ -127,11 +144,13 @@ def test_import_stays_numpy_only():
 
 
 def test_parameters_stay_numpy_only(ce_file):
-    # stats and reduce --bounds compute every graph parameter, and the reduce
-    # runs apply every rule on both engines; none may pull in scipy.
+    # stats and reduce --bounds compute every graph parameter, the reduce
+    # runs apply every rule on both engines, and solve runs the exact search;
+    # none may pull in scipy.
     code = (
         "import sys\n"
         "from mhskernel.cli import main\n"
+        f"assert main(['solve', '-i', {ce_file!r}]) == 0\n"
         f"assert main(['stats', '-i', {ce_file!r}, '--dilworth', '--diversity', '--matching', '--size']) == 0\n"
         f"assert main(['reduce', '-i', {ce_file!r}, '--bounds']) == 0\n"
         f"for engine in ('seq', 'par'):\n"

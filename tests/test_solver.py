@@ -42,8 +42,18 @@ def test_empty_instance():
 
 def test_node_limit_is_reported_distinctly():
     h = generate_random(n=14, m=12, p=0.5, alpha=3, seed=3)
-    assert solve_opt(h, node_limit=1).status is SolveStatus.BUDGET_EXCEEDED
+    for limit in (1, 5):
+        stopped = solve_opt(h, node_limit=limit)
+        assert stopped.status is SolveStatus.BUDGET_EXCEEDED
+        assert stopped.nodes == limit + 1
+        assert verify_solution(h, stopped.chosen)  # the best cover found so far
     assert solve_opt(h).status is SolveStatus.OPTIMAL
+
+
+@pytest.mark.parametrize("limit", [0, -5])
+def test_node_limit_below_one_is_rejected(ce, limit):
+    with pytest.raises(ValueError, match="node limit"):
+        solve_opt(ce, node_limit=limit)
 
 
 def test_verify_solution(ce):
@@ -75,3 +85,33 @@ def test_agrees_with_bruteforce(seed):
 def test_deterministic_witness(ce):
     runs = {tuple(sorted(solve_opt(ce).chosen)) for _ in range(5)}
     assert len(runs) == 1
+
+
+def milp_optimum(h):
+    """Optimum from ``scipy.optimize.milp`` (HiGHS): min Σx, A·x >= f, x binary."""
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    a = np.zeros((h.m, h.n))
+    for i, members in enumerate(h.edges):
+        a[i, [j - 1 for j in members]] = 1
+    result = optimize.milp(
+        np.ones(h.n),
+        constraints=optimize.LinearConstraint(a, lb=np.array(h.demand, dtype=float)),
+        integrality=np.ones(h.n),
+        bounds=optimize.Bounds(0, 1),
+    )
+    assert result.status == 0, result.message
+    return round(result.fun)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_agrees_with_milp(seed):
+    # Sizes well beyond the brute-force oracle's reach.
+    n = 30 + (seed * 17) % 51
+    alpha = 1 + seed % 3
+    pn = alpha + 1.5 + 2.0 * ((seed * 7) % 10) / 9
+    h = generate_random(n=n, m=n, p=pn / n, alpha=alpha, seed=900 + seed)
+    solution = solve_opt(h)
+    assert solution.status is SolveStatus.OPTIMAL
+    assert solution.cardinality == milp_optimum(h)
+    assert verify_solution(h, solution.chosen)
