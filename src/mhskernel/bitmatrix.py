@@ -111,14 +111,6 @@ class IncidenceMatrix:
     indptr: np.ndarray
     words: np.ndarray
 
-    def bit(self, i: int, j: int) -> bool:
-        """Whether vertex ``j`` lies in edge ``i`` (both 1-based)."""
-        if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-            raise IndexError(f"bit ({i}, {j}) outside {self.rows}x{self.cols} matrix")
-        row = self.words[self.indptr[i - 1] : self.indptr[i]]
-        k = np.searchsorted(row, j - 1)
-        return bool(k < row.size and row[k] == j - 1)
-
     @cached_property
     def row_sizes(self) -> np.ndarray:
         """Per edge, its number of vertices."""
@@ -129,15 +121,6 @@ class IncidenceMatrix:
         """Per vertex, its number of edges."""
         return np.bincount(self.words, minlength=self.cols)
 
-    def row_popcount(self, i: int) -> int:
-        return int(self.row_sizes[i - 1])
-
-    def col_popcount(self, j: int) -> int:
-        return int(self.col_sizes[j - 1])
-
-    def total_bits(self) -> int:
-        return int(self.words.size)
-
     @cached_property
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Column-compressed form ``(colptr, members)``: the 0-based edges
@@ -146,6 +129,19 @@ class IncidenceMatrix:
         np.cumsum(self.col_sizes, out=colptr[1:])
         edge_of = np.repeat(np.arange(self.rows), self.row_sizes)
         return colptr, edge_of[np.argsort(self.words, kind="stable")]
+
+    def restrict(self, row_alive, col_alive) -> "IncidenceMatrix":
+        """The rows (edges) and columns (vertices) flagged in the bool masks
+        ``row_alive`` (``rows`` long) and ``col_alive`` (``cols`` long), renumbered in order."""
+        row_alive, col_alive = np.asarray(row_alive, dtype=bool), np.asarray(col_alive, dtype=bool)
+        if row_alive.shape != (self.rows,) or col_alive.shape != (self.cols,):
+            raise ValueError(f"masks of length {self.rows} and {self.cols} required")
+        keep = np.repeat(row_alive, self.row_sizes) & col_alive[self.words]
+        # Dead rows keep nothing, so an alive row starts after the bits kept before it.
+        start = np.concatenate(([0], np.cumsum(keep)))[self.indptr]
+        indptr = start[np.append(np.flatnonzero(row_alive), self.rows)]
+        words = np.cumsum(col_alive)[self.words[keep]] - 1  # kept columns renumbered in order
+        return IncidenceMatrix(indptr.size - 1, int(col_alive.sum()), indptr, words)
 
     def edge_pairs(self):
         """Chunks of 0-based edge pairs ``(a, b)`` with ``|a ∩ b| >= 1``, and that count."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,31 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return sum(len(s) for s in self.adj) // 2
+
+    @cached_property
+    def _containment(self) -> tuple[np.ndarray, np.ndarray]:
+        """The containment preorder as a bool matrix ``leq``, and the lowest
+        node of each class of nodes comparable in both directions (the twin
+        classes); one pass per graph serves both parameters.
+
+        ``a <= b`` iff ``|N(a) ∩ N(b)| + [a ~ b] == deg(a)``, with the counts
+        taken in chunks of the node pairs that share a neighbour.  Needs at
+        least one node.
+        """
+        n = self.num_nodes
+        deg = np.fromiter(map(len, self.adj), dtype=np.intp, count=n)
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(deg, out=indptr[1:])
+        nbr = np.fromiter((v for s in self.adj for v in sorted(s)), dtype=np.intp, count=int(indptr[-1]))
+        adj = np.zeros((n, n), dtype=bool)
+        adj[np.repeat(np.arange(n), deg), nbr] = True
+        # Pairs sharing no neighbour: N(a) ⊆ {b}, so a is isolated or a leaf of b.
+        leq = deg[:, None] == adj
+        for a, b, common in IncidenceMatrix(n, n, indptr, nbr).edge_pairs():
+            leq[a, b] = common + adj[a, b] == deg[a]
+        del adj
+        rep = (leq & leq.T).argmax(axis=1)
+        return leq, np.flatnonzero(rep == np.arange(n))
 
 
 @dataclass(frozen=True)
@@ -85,30 +111,6 @@ def vinical_leq(g: Graph, u: int, v: int) -> bool:
     return g.adj[u] <= g.adj[v] | {v}
 
 
-def _containment(g: Graph):
-    """The containment preorder as a bool matrix ``leq``, and the lowest node
-    of each class of nodes comparable in both directions (the twin classes).
-
-    ``a <= b`` iff ``|N(a) ∩ N(b)| + [a ~ b] == deg(a)``, with the counts
-    taken in chunks of the node pairs that share a neighbour.  Needs at
-    least one node.
-    """
-    n = g.num_nodes
-    deg = np.fromiter(map(len, g.adj), dtype=np.intp, count=n)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(deg, out=indptr[1:])
-    nbr = np.fromiter((v for s in g.adj for v in sorted(s)), dtype=np.intp, count=int(indptr[-1]))
-    adj = np.zeros((n, n), dtype=bool)
-    adj[np.repeat(np.arange(n), deg), nbr] = True
-    # Pairs sharing no neighbour: N(a) ⊆ {b}, so a is isolated or a leaf of b.
-    leq = deg[:, None] == adj
-    for a, b, common in IncidenceMatrix(n, n, indptr, nbr).edge_pairs():
-        leq[a, b] = common + adj[a, b] == deg[a]
-    del adj
-    rep = (leq & leq.T).argmax(axis=1)
-    return leq, np.flatnonzero(rep == np.arange(n))
-
-
 def dilworth_number(g: Graph) -> int:
     """Minimum number of chains of the neighborhood-containment preorder
     covering all nodes; equals the largest antichain.  0 for the empty graph.
@@ -120,7 +122,7 @@ def dilworth_number(g: Graph) -> int:
     """
     if g.num_nodes == 0:
         return 0
-    leq, classes = _containment(g)
+    leq, classes = g._containment
     below = leq[np.ix_(classes, classes)]
     np.fill_diagonal(below, False)
     adjacency = {a: np.flatnonzero(row).tolist() for a, row in enumerate(below)}
@@ -137,7 +139,7 @@ def neighborhood_diversity(g: Graph) -> int:
     """
     if g.num_nodes == 0:
         return 0
-    return _containment(g)[1].size
+    return g._containment[1].size
 
 
 def _bipartition(g: Graph) -> tuple[list[int], list[int]]:

@@ -1,7 +1,8 @@
 """Snapshot data-parallel reduction phases.
 
 A phase works on a compacted incidence matrix of the alive items (see
-:mod:`pipeline`, which extracts one per phase and runs the rounds).  It
+:mod:`pipeline`, which masks the run's one matrix per phase and runs the
+rounds).  It
 reads the pairwise counts ``A·Aᵀ`` or ``Aᵀ·A`` of the matrix in bounded
 chunks (see :mod:`bitmatrix`) and evaluates the shared rule predicate
 (:func:`rules.superseding`, :func:`rules.dominating`) on every pair of a

@@ -9,8 +9,8 @@ every phase order and both engines run through it on one
 rules (``dp`` and ``se``) and ``md`` through the same predicates of
 :mod:`rules`:
 
-* the parallel engine extracts the alive subinstance and builds its
-  incidence matrix for each such phase;
+* the parallel engine masks the run's one incidence matrix by the alive
+  rows and columns for each such phase;
 * the sequential engine keeps one :class:`sequential.ReductionState`
   across phases and rounds, rebuilt by one pass of the same co-occurrence
   kernel only after ``fe`` or ``lp`` deleted something (neither updates
@@ -24,6 +24,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graphparams import (
     dilworth_number,
     incidence_graph,
@@ -35,7 +37,6 @@ from .parallel import par_reduce_edges, par_reduce_vertices
 from .report import KernelReport, KernelRun
 from .rules import ActiveInstance, exact_oracle, fe_pass, lp_pass, pushed_max_oracle
 from .sequential import init_state, seq_reduce_edges, seq_reduce_vertices
-from .bitmatrix import incidence_matrix
 
 PHASES = ("fe", "dp", "se", "md", "lp")
 ENGINES = ("sequential", "parallel")
@@ -71,20 +72,17 @@ class PipelineSpec:
 
 
 def _par_phase(active: ActiveInstance, phase: str) -> int:
-    """One parallel-engine ``dp``, ``se`` or ``md`` phase on the compacted
-    alive subinstance; returns the deletion count."""
-    sub, vertex_ids, edge_ids = active.extract()
-    matrix = incidence_matrix(sub)
+    """One parallel-engine ``dp``, ``se`` or ``md`` phase on the run's
+    matrix masked to the alive items; returns the deletion count."""
+    matrix, vertex_ids, edge_ids = active.alive_matrix()
+    demand = np.array(active.demand)[edge_ids]
     if phase == "md":
-        keep, ids, alive = par_reduce_vertices(matrix, sub.demand), vertex_ids, active.vertex_alive
+        keep, ids, alive = par_reduce_vertices(matrix, demand), vertex_ids, active.vertex_alive
     else:
-        keep, ids, alive = par_reduce_edges(matrix, sub.demand, rule=phase), edge_ids, active.edge_alive
-    deleted = 0
-    for kept, k in zip(keep, ids):
-        if not kept:
-            alive[k - 1] = False
-            deleted += 1
-    return deleted
+        keep, ids, alive = par_reduce_edges(matrix, demand, rule=phase), edge_ids, active.edge_alive
+    for k in ids[np.logical_not(keep)].tolist():
+        alive[k] = False
+    return keep.count(False)
 
 
 def _reduce(h: Hypergraph, spec: PipelineSpec, report: KernelReport) -> ActiveInstance:

@@ -25,6 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
+from .bitmatrix import IncidenceMatrix, incidence_matrix
 from .instance import Hypergraph
 from .solver import DEFAULT_NODE_LIMIT, SolveStatus, solve_opt
 
@@ -45,17 +48,16 @@ class ActiveInstance:
 
     Edge contents are always read restricted to alive vertices; dead items
     keep their index (tombstones) so later tie-breaks compare original
-    input positions.
+    input positions.  The input's incidence matrix is built once, here;
+    :meth:`alive_matrix` masks it by the alive flags.
     """
 
     def __init__(self, h: Hypergraph):
         self.h = h
+        self.matrix = incidence_matrix(h)
         self.vertex_alive = [True] * h.n
         self.edge_alive = [True] * h.m
         self.demand = list(h.demand)
-
-    def alive_vertex_ids(self) -> list[int]:
-        return [j + 1 for j in range(self.h.n) if self.vertex_alive[j]]
 
     def alive_edge_ids(self) -> list[int]:
         return [i + 1 for i in range(self.h.m) if self.edge_alive[i]]
@@ -83,22 +85,23 @@ class ActiveInstance:
         if not self.vertex_alive[j - 1]:
             raise ValueError(f"vertex {j} is deleted")
 
+    def alive_matrix(self) -> tuple[IncidenceMatrix, np.ndarray, np.ndarray]:
+        """The input's matrix restricted to the alive edges (rows) and vertices (columns),
+        plus the 0-based original ids of its vertices and of its edges, in order."""
+        vertex_alive, edge_alive = np.array(self.vertex_alive, dtype=bool), np.array(self.edge_alive, dtype=bool)
+        return self.matrix.restrict(edge_alive, vertex_alive), np.flatnonzero(vertex_alive), np.flatnonzero(edge_alive)
+
     def extract(self) -> tuple[Hypergraph, list[int], list[int]]:
-        """Compact alive items into a fresh hypergraph.
+        """The alive items as a hypergraph, read off :meth:`alive_matrix`.
 
         Returns the renumbered hypergraph plus the original 1-based ids of
         its vertices and edges, in order.
         """
-        vertex_ids = self.alive_vertex_ids()
-        edge_ids = self.alive_edge_ids()
-        new_id = {v: k + 1 for k, v in enumerate(vertex_ids)}
-        edges = []
-        demand = []
-        for i in edge_ids:
-            edges.append(tuple(new_id[j] for j in self.edge_members(i)))
-            demand.append(self.demand[i - 1])
-        sub = Hypergraph(len(vertex_ids), tuple(edges), tuple(demand), self.h.budget)
-        return sub, vertex_ids, edge_ids
+        matrix, vertex_ids, edge_ids = self.alive_matrix()
+        members, bounds = (matrix.words + 1).tolist(), matrix.indptr.tolist()
+        edges = tuple(tuple(members[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        sub = Hypergraph(matrix.cols, edges, tuple(self.demand[i] for i in edge_ids.tolist()), self.h.budget)
+        return sub, (vertex_ids + 1).tolist(), (edge_ids + 1).tolist()
 
 
 def supersedes(active: ActiveInstance, i: int, j: int) -> bool:

@@ -2,9 +2,10 @@
 
 The engine's state lives across the phases of a pipeline run (see
 :mod:`pipeline`): dense pairwise intersection counts of the alive items,
-taken once from the co-occurrence kernel of :mod:`bitmatrix` and kept up
-to date under deletion by one commit routine, plus candidate lists that
-narrow each phase's scan.  A phase slices the candidates' rows out of the
+taken once from the co-occurrence kernel of :mod:`bitmatrix` on the run's
+incidence matrix masked to the alive items and kept up to date under
+deletion by one commit routine, plus candidate lists that narrow each
+phase's scan.  A phase slices the candidates' rows out of the
 count matrix, ``bitmatrix.BLOCK_CELLS`` cells at a time, and applies the
 same rule predicates as the parallel engine (:func:`rules.superseding`,
 :func:`rules.dominating`) to each block, so it deletes exactly what the
@@ -21,7 +22,7 @@ per incident deletion); scans skip dead entries.  Rows and columns of dead
 items go stale rather than being zeroed; they are never read.  Demands
 are read-only: a rule that changes them (``fe``) or deletes items without
 updating the counts (``fe``, ``lp``) ends the state's life, and the next
-state is counted afresh, in one kernel pass over the survivors.
+state is counted afresh, in one kernel pass over the masked matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmatrix import BLOCK_CELLS, incidence_matrix
+from .bitmatrix import BLOCK_CELLS
 from .instance import Hypergraph
 from .rules import ActiveInstance, dominating, superseding
 
@@ -68,35 +69,31 @@ def init_state(h: Hypergraph, active: ActiveInstance | None = None) -> Reduction
     """Count the alive items of ``active`` (all of ``h`` when omitted) and
     start with every alive item as a candidate.
 
-    The counts are the co-occurrence kernel's chunks for the compacted
-    alive subinstance, scattered back to original ids.  The state shares
-    ``active``: its phases delete in place.
+    The counts are the co-occurrence kernel's chunks for
+    :meth:`rules.ActiveInstance.alive_matrix`, scattered back to original
+    ids.  The state shares ``active``: its phases delete in place.
     """
     if active is None:
         active = ActiveInstance(h)
     # No count exceeds n or m, so the smallest unsigned type that holds both
     # suffices; the matrices are the engine's largest allocation.
     dtype = np.min_scalar_type(max(h.n, h.m))
-    sub, vertex_ids, edge_ids = active.extract()
-    matrix = incidence_matrix(sub)
-    edge_inter = _scatter(matrix.edge_pairs(), edge_ids, h.m, dtype)
-    vertex_inter = _scatter(matrix.vertex_pairs(), vertex_ids, h.n, dtype)
+    matrix, vertex_ids, edge_ids = active.alive_matrix()
     return ReductionState(
         active=active,
-        edge_inter=edge_inter,
-        vertex_inter=vertex_inter,
-        cand_edges=edge_ids,
-        cand_vertices=vertex_ids,
-        insertions=len(edge_ids) + len(vertex_ids),
+        edge_inter=_scatter(matrix.edge_pairs(), edge_ids, h.m, dtype),
+        vertex_inter=_scatter(matrix.vertex_pairs(), vertex_ids, h.n, dtype),
+        cand_edges=(edge_ids + 1).tolist(),
+        cand_vertices=(vertex_ids + 1).tolist(),
+        insertions=edge_ids.size + vertex_ids.size,
     )
 
 
-def _scatter(chunks, ids: list[int], size: int, dtype) -> np.ndarray:
-    """``size × size`` counts of ``chunks``, compacted index ``k`` placed at ``ids[k]``."""
-    original = np.array(ids, dtype=np.intp) - 1
+def _scatter(chunks, ids: np.ndarray, size: int, dtype) -> np.ndarray:
+    """``size × size`` counts of ``chunks``, compacted index ``k`` placed at 0-based id ``ids[k]``."""
     out = np.zeros((size, size), dtype=dtype)
     for a, b, common in chunks:
-        out[original[a], original[b]] = common
+        out[ids[a], ids[b]] = common
     return out
 
 

@@ -77,6 +77,18 @@ def naive_vertex_intersections(h: Hypergraph, edge_alive, vertex_alive):
     ]
 
 
+def naive_extract(active) -> tuple[Hypergraph, list[int], list[int]]:
+    """The alive items of an ``ActiveInstance`` compacted through a
+    renumbering dict: the renumbered hypergraph plus the original 1-based
+    ids of its vertices and edges, in order."""
+    vertex_ids = [j + 1 for j in range(active.h.n) if active.vertex_alive[j]]
+    edge_ids = active.alive_edge_ids()
+    new_id = {v: k + 1 for k, v in enumerate(vertex_ids)}
+    edges = tuple(tuple(new_id[j] for j in active.edge_members(i)) for i in edge_ids)
+    demand = tuple(active.demand[i - 1] for i in edge_ids)
+    return Hypergraph(len(vertex_ids), edges, demand, active.h.budget), vertex_ids, edge_ids
+
+
 def rescan_lp_pass(active, oracle) -> set[int]:
     """The lower-bound rule applied edge by edge, rescanning every alive
     edge after any scan that deleted something, until one deletes nothing."""

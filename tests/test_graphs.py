@@ -7,7 +7,9 @@ import pytest
 from mhskernel import (
     Graph,
     Hypergraph,
+    compute_stats,
     dilworth_number,
+    generate_random,
     incidence_graph,
     ingest_response_matrix,
     kernel_bound,
@@ -222,3 +224,19 @@ def test_parameter_temporaries_stay_bounded_on_sparse_graph():
     finally:
         tracemalloc.stop()
     assert peak < 3 * n * n + 400 * BLOCK_CELLS
+
+
+def test_stats_compute_the_containment_preorder_once(monkeypatch):
+    h = generate_random(n=40, m=30, p=0.2, alpha=2, seed=5)
+    edge_pairs = bitmatrix.IncidenceMatrix.edge_pairs
+    passes = []
+
+    def counting(self):
+        passes.append(self)
+        return edge_pairs(self)
+
+    monkeypatch.setattr(bitmatrix.IncidenceMatrix, "edge_pairs", counting)
+    stats = compute_stats(h, {"dilworth", "diversity"})
+    assert len(passes) == 1
+    g = incidence_graph(h).graph
+    assert stats == {"dilworth": naive_dilworth(g), "diversity": naive_diversity(g)}

@@ -112,7 +112,7 @@ def test_engine_equivalence_end_to_end(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_engine_equivalence_over_phase_orders(order, seed):
     # The sequential engine carries one count state across phases and
-    # rounds; the parallel engine rebuilds its matrix for every phase.
+    # rounds; the parallel engine masks the run's matrix for every phase.
     rng = random.Random(seed)
     h = generate_random(n=rng.randint(2, 30), m=rng.randint(2, 30), p=rng.choice((0.1, 0.2, 0.35)),
                         alpha=rng.randint(1, 4), seed=seed)
@@ -127,6 +127,29 @@ def test_engine_equivalence_over_phase_orders(order, seed):
         assert seq_report.rounds == par_report.rounds
         assert seq_report.budget_delta == par_report.budget_delta
         assert seq_report.infeasible == par_report.infeasible
+
+
+@pytest.mark.parametrize("engine", ["sequential", "parallel"])
+def test_hypergraph_builds_do_not_grow_with_rounds(engine, monkeypatch):
+    # Phases read the run's one matrix masked by the alive flags; only the
+    # output is built as a Hypergraph, however many rounds the loop takes.
+    chains = [Hypergraph(n, tuple((i, i + 1) for i in range(1, n)), (1,) * (n - 1)) for n in (50, 400)]
+    post_init = Hypergraph.__post_init__
+    builds = []
+
+    def counting(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Hypergraph, "__post_init__", counting)
+    counts, rounds = [], []
+    for chain in chains:
+        builds.clear()
+        _, report = run_pipeline(chain, PipelineSpec(("dp", "md"), engine=engine, loop=True))
+        counts.append(len(builds))
+        rounds.append(report.rounds)
+    assert rounds[1] > 6 * rounds[0]
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize(

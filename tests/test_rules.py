@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhskernel import (
     ActiveInstance,
@@ -10,15 +12,20 @@ from mhskernel import (
     dominators,
     exact_oracle,
     generate_random,
+    incidence_matrix,
+    init_state,
     lp_rule_applicable,
     md_applicable,
     pushed_max_oracle,
+    seq_reduce_edges,
+    seq_reduce_vertices,
     solve_opt,
     supersedes,
 )
+from mhskernel.pipeline import _par_phase
 from mhskernel.rules import fe_pass, lp_pass
 
-from conftest import brute_force_feasible, brute_force_opt, rescan_lp_pass, singletons
+from conftest import brute_force_feasible, brute_force_opt, naive_extract, rescan_lp_pass, singletons
 
 
 def active(h: Hypergraph) -> ActiveInstance:
@@ -156,7 +163,7 @@ class TestFullEdge:
         assert outcome.deleted_vertices == {1, 2}
         assert outcome.budget_delta == 2
         assert outcome.demand_decrements == {2: 1, 3: 1}
-        assert a.alive_vertex_ids() == [3, 4, 5]
+        assert a.vertex_alive == [False, False, True, True, True]
         assert a.edge_members(2) == (3, 4) and a.demand[1] == 1
         assert a.edge_members(3) == (3, 5) and a.demand[2] == 1
 
@@ -287,3 +294,86 @@ class TestLpRule:
         assert len(calls) == h.m  # one oracle call per edge alive at phase start
         assert deleted == rescan_lp_pass(active(h), oracle)
         assert not any(lp_rule_applicable(a, j, oracle) for j in a.alive_edge_ids())
+
+
+def assert_alive_view_matches(a: ActiveInstance) -> None:
+    """``extract`` and ``alive_matrix`` agree with the dict-based compaction."""
+    sub, vertex_ids, edge_ids = naive_extract(a)
+    got = a.extract()
+    assert got == (sub, vertex_ids, edge_ids)
+    got_sub, got_vertices, got_edges = got
+    values = got_vertices + got_edges + list(got_sub.demand) + [v for e in got_sub.edges for v in e]
+    assert all(type(x) is int for x in values)
+    matrix, vertex_idx, edge_idx = a.alive_matrix()
+    ref = incidence_matrix(sub)
+    assert (matrix.rows, matrix.cols) == (ref.rows, ref.cols)
+    assert matrix.indptr.tolist() == ref.indptr.tolist()
+    assert matrix.words.tolist() == ref.words.tolist()
+    assert (vertex_idx + 1).tolist() == vertex_ids
+    assert (edge_idx + 1).tolist() == edge_ids
+
+
+@st.composite
+def overlays(draw) -> ActiveInstance:
+    """A small instance (empty edges and dead-only edges included) under
+    random alive masks."""
+    n = draw(st.integers(0, 8))
+    edges = draw(st.lists(st.sets(st.integers(1, max(n, 1)), max_size=n), max_size=8))
+    demand = draw(st.lists(st.integers(1, 3), min_size=len(edges), max_size=len(edges)))
+    budget = draw(st.none() | st.integers(0, 6))
+    a = ActiveInstance(Hypergraph.from_edges(n, edges, demand, budget))
+    a.vertex_alive = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    a.edge_alive = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return a
+
+
+class TestAliveView:
+    @settings(max_examples=300, deadline=1000, derandomize=True, database=None)
+    @given(overlays())
+    def test_matches_naive_compaction(self, a):
+        assert_alive_view_matches(a)
+
+    def test_empty_instance(self):
+        assert_alive_view_matches(active(Hypergraph(0, (), ())))
+
+    def test_all_rows_dead(self):
+        a = active(generate_random(n=9, m=7, p=0.4, alpha=2, seed=3))
+        a.edge_alive = [False] * a.h.m
+        assert_alive_view_matches(a)
+        assert a.alive_matrix()[0].rows == 0
+
+    def test_all_columns_dead(self):
+        a = active(generate_random(n=9, m=7, p=0.4, alpha=2, seed=4))
+        a.vertex_alive = [False] * a.h.n
+        assert_alive_view_matches(a)
+        matrix = a.alive_matrix()[0]
+        assert (matrix.rows, matrix.cols, matrix.words.size) == (7, 0, 0)
+
+    def test_empty_rows(self):
+        # Edge 1 is empty in the input; edge 3 loses both of its vertices.
+        a = active(Hypergraph(5, ((), (1, 2, 5), (3, 4), (4, 5)), (1, 2, 1, 1), budget=2))
+        a.vertex_alive[2] = a.vertex_alive[3] = False
+        a.edge_alive[3] = False
+        assert_alive_view_matches(a)
+        assert a.alive_matrix()[0].row_sizes.tolist() == [0, 3, 0]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_after_rule_passes(self, seed):
+        rng = random.Random(seed)
+        h = generate_random(n=10 + seed, m=9 + seed, p=0.35, alpha=3, seed=seed)
+        h = Hypergraph(h.n, h.edges, tuple(rng.randint(1, f) for f in h.demand))
+        a = active(h)
+        fe_pass(a)
+        assert_alive_view_matches(a)
+        lp_pass(a, pushed_max_oracle)
+        assert_alive_view_matches(a)
+        for phase in ("dp", "md", "se"):
+            _par_phase(a, phase)
+            assert_alive_view_matches(a)
+        state = init_state(h)
+        seq_reduce_edges(state, "se")
+        assert_alive_view_matches(state.active)
+        seq_reduce_vertices(state)
+        assert_alive_view_matches(state.active)
+        seq_reduce_edges(state)
+        assert_alive_view_matches(state.active)

@@ -199,7 +199,7 @@ def test_init_state_on_overlay_after_fe_or_lp(seed, rule):
     state = init_state(h, overlay())
     assert_invariant(state)
     assert state.cand_edges == state.active.alive_edge_ids()
-    assert state.cand_vertices == state.active.alive_vertex_ids()
+    assert state.cand_vertices == [j + 1 for j in range(h.n) if state.vertex_alive[j]]
 
     sub, vertex_ids, edge_ids = state.active.extract()
     seq_reduce_edges(state)
