@@ -11,6 +11,7 @@ from .generate import generate_random, ingest_response_matrix
 from .graphparams import (
     Graph,
     IncidenceGraph,
+    compute_stats,
     dilworth_number,
     incidence_graph,
     kernel_bound,
@@ -29,7 +30,7 @@ from .instance import (
     validate_feasibility,
 )
 from .parallel import par_reduce_edges, par_reduce_vertices
-from .pipeline import PipelineSpec, compute_stats, par_kernelize, run_pipeline, seq_kernelize
+from .pipeline import PipelineSpec, par_kernelize, run_pipeline, seq_kernelize
 from .report import KernelReport, KernelRun
 from .rules import (
     ActiveInstance,

@@ -56,6 +56,9 @@ def _parse_matrix(text: str) -> list[list[float]]:
             values = [float(cell) for cell in row]
         except ValueError as exc:
             raise ValueError(f"row {row_no}: non-numeric cell ({exc})") from None
+        if not all(map(math.isfinite, values)):
+            col_no = next(c for c, x in enumerate(values, start=1) if not math.isfinite(x))
+            raise ValueError(f"row {row_no}, column {col_no}: non-finite cell {values[col_no - 1]}")
         if width is None:
             width = len(values)
         elif len(values) != width:
@@ -74,7 +77,8 @@ def ingest_response_matrix(
     more than ``sigmas`` population standard deviations, in the requested
     direction.  Rows thresholding to an empty edge are dropped with a
     warning (a constant row always is: its deviation is zero).  Demands
-    follow ``min(alpha, |e|)``.
+    follow ``min(alpha, |e|)``.  A NaN or infinite cell raises
+    ``ValueError`` naming its row and column.
     """
     if direction not in ("above", "below"):
         raise ValueError(f"direction must be 'above' or 'below', got {direction!r}")

@@ -11,6 +11,10 @@ kernel as the reduction engines (:mod:`.bitmatrix`); no count matrix is
 held, only ``num_nodes²`` booleans.  Two nodes lie below each other
 exactly when they are twins, so the preorder's classes are the twin
 classes that neighborhood diversity counts.
+
+:func:`compute_stats` builds the incidence graph once for all requested
+parameters; :func:`kernel_bound` and the pipeline's bound fields read
+them through it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .bitmatrix import IncidenceMatrix
-from .instance import Hypergraph
+from .instance import Hypergraph, instance_size
 
 
 @dataclass(frozen=True)
@@ -35,6 +39,8 @@ class Graph:
     def from_edges(cls, num_nodes: int, edges) -> "Graph":
         sets: list[set[int]] = [set() for _ in range(num_nodes)]
         for u, v in edges:
+            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+                raise IndexError(f"edge ({u}, {v}) has a node out of range 0..{num_nodes - 1}")
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             sets[u].add(v)
@@ -222,9 +228,30 @@ def matching_number(g: Graph) -> int:
     return _hopcroft_karp(left, adjacency)
 
 
+def compute_stats(h: Hypergraph, which: set[str]) -> dict[str, int]:
+    """Requested parameters of the instance's incidence graph, built once.
+
+    ``which`` is a subset of {"dilworth", "diversity", "matching", "size"}.
+    """
+    known = {"dilworth", "diversity", "matching", "size"}
+    unknown = which - known
+    if unknown:
+        raise ValueError(f"unknown stats {sorted(unknown)}; expected subset of {sorted(known)}")
+    out: dict[str, int] = {}
+    if "size" in which:
+        out["size"] = instance_size(h)
+    if which & {"dilworth", "diversity", "matching"}:
+        g = incidence_graph(h).graph
+        if "dilworth" in which:
+            out["dilworth"] = dilworth_number(g)
+        if "diversity" in which:
+            out["diversity"] = neighborhood_diversity(g)
+        if "matching" in which:
+            out["matching"] = matching_number(g)
+    return out
+
+
 def kernel_bound(h: Hypergraph) -> int:
     """Size bound ``2 * alpha * dilworth(incidence graph)`` guaranteed for
     the reduced instance after one edge phase followed by one vertex phase."""
-    if h.n == 0 and h.m == 0:
-        return 0
-    return 2 * h.alpha * dilworth_number(incidence_graph(h).graph)
+    return 2 * h.alpha * compute_stats(h, {"dilworth"})["dilworth"]

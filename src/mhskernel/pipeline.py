@@ -1,13 +1,17 @@
-"""Reduction pipelines and parameter stats.
+"""Reduction pipelines.
 
 A pipeline is an ordered list of rule phases (``fe``, ``dp``, ``se``,
 ``md``, ``lp``) run by one of the two engines, optionally looped until a
 whole pass deletes nothing.  :func:`_reduce` is the only reduction loop;
 every phase order and both engines run through it on one
-:class:`rules.ActiveInstance`, and :func:`seq_kernelize` and
-:func:`par_kernelize` are fixed specs of it.  Both engines run the edge
-rules (``dp`` and ``se``) and ``md`` through the same predicates of
-:mod:`rules`:
+:class:`rules.ActiveInstance`, and :func:`_run` is the only path that
+finishes a run: :func:`run_pipeline` returns its hypergraph and report,
+and :func:`seq_kernelize` and :func:`par_kernelize` are fixed specs of it.
+None of them raises on infeasibility: an infeasible input comes back
+unreduced with ``report.infeasible`` set, and a run whose ``fe`` cascade
+meets an unsatisfiable edge, or overdraws the budget, returns what it
+reached with the same flag.  Both engines run the edge rules (``dp`` and
+``se``) and ``md`` through the same predicates of :mod:`rules`:
 
 * the parallel engine masks the run's one incidence matrix by the alive
   rows and columns for each such phase;
@@ -22,16 +26,11 @@ rules (``dp`` and ``se``) and ``md`` through the same predicates of
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphparams import (
-    dilworth_number,
-    incidence_graph,
-    matching_number,
-    neighborhood_diversity,
-)
+from .graphparams import compute_stats
 from .instance import Hypergraph, instance_size, validate_feasibility
 from .parallel import par_reduce_edges, par_reduce_vertices
 from .report import KernelReport, KernelRun
@@ -126,10 +125,24 @@ def _reduce(h: Hypergraph, spec: PipelineSpec, report: KernelReport) -> ActiveIn
             return active
 
 
-def _record_after(report: KernelReport, reduced: Hypergraph) -> None:
-    report.n_after = reduced.n
-    report.m_after = reduced.m
-    report.size_after = instance_size(reduced)
+def _run(h: Hypergraph, spec: PipelineSpec) -> KernelRun:
+    """Finish one run of ``spec`` on ``h``: every entry point ends here.
+
+    An infeasible input comes back unreduced with ``infeasible=True``;
+    otherwise the survivors of :func:`_reduce` come back with the budget
+    lowered by the vertices ``fe`` forced, flagged if that overdraws it.
+    """
+    report = KernelReport(n_before=h.n, m_before=h.m, size_before=instance_size(h))
+    if validate_feasibility(h):
+        reduced, vertex_ids, edge_ids = _reduce(h, spec, report).extract()
+        if h.budget is not None:
+            reduced = replace(reduced, budget=h.budget - report.budget_delta)
+            report.infeasible |= reduced.budget < 0
+    else:
+        report.infeasible = True
+        reduced, vertex_ids, edge_ids = h, range(1, h.n + 1), range(1, h.m + 1)
+    report.n_after, report.m_after, report.size_after = reduced.n, reduced.m, instance_size(reduced)
+    return KernelRun(reduced, report, tuple(vertex_ids), tuple(edge_ids))
 
 
 def run_pipeline(
@@ -137,78 +150,35 @@ def run_pipeline(
 ) -> tuple[Hypergraph, KernelReport]:
     """Run the phases in order (looped to joint fixpoint when flagged).
 
-    An infeasible input, or infeasibility detected mid-pipeline by the
-    full-edge cascade, halts the run with ``infeasible=True`` in the
-    report.  The bound fields, from the Dilworth and matching numbers of
-    the incidence graph, are filled only on request.
+    An infeasible input comes back unreduced, and infeasibility detected
+    mid-pipeline by the full-edge cascade halts the run; either way the
+    report says ``infeasible=True`` and nothing is raised.  The bound
+    fields, from the Dilworth and matching numbers of the incidence graph,
+    are filled only on request.
     """
-    report = KernelReport(n_before=h.n, m_before=h.m, size_before=instance_size(h))
+    run = _run(h, spec)
     if compute_bounds:
-        inc = incidence_graph(h).graph
-        report.bound_2_alpha_nabla = 2 * h.alpha * dilworth_number(inc)
-        report.matching_bound = matching_number(inc)
-
-    if not validate_feasibility(h):
-        report.infeasible = True
-        _record_after(report, h)
-        return h, report
-
-    reduced, _, _ = _reduce(h, spec, report).extract()
-    if h.budget is not None:
-        reduced = Hypergraph(reduced.n, reduced.edges, reduced.demand, h.budget - report.budget_delta)
-        if reduced.budget < 0:
-            report.infeasible = True
-    _record_after(report, reduced)
-    return reduced, report
-
-
-def _kernelize(h: Hypergraph, spec: PipelineSpec) -> KernelRun:
-    check = validate_feasibility(h)
-    if not check:
-        raise ValueError(f"instance is infeasible: {check.reason}")
-    report = KernelReport(n_before=h.n, m_before=h.m, size_before=instance_size(h))
-    reduced, vertex_ids, edge_ids = _reduce(h, spec, report).extract()
-    _record_after(report, reduced)
-    return KernelRun(reduced, report, tuple(vertex_ids), tuple(edge_ids))
+        stats = compute_stats(h, {"dilworth", "matching"})
+        run.report.bound_2_alpha_nabla = 2 * h.alpha * stats["dilworth"]
+        run.report.matching_bound = stats["matching"]
+    return run.hypergraph, run.report
 
 
 def seq_kernelize(h: Hypergraph) -> KernelRun:
-    """The ``dp,md`` fixpoint on the sequential engine; raises
-    ``ValueError`` on an infeasible instance.  Output matches
-    :func:`par_kernelize` exactly."""
-    return _kernelize(h, PipelineSpec(("dp", "md"), loop=True))
+    """The ``dp,md`` fixpoint on the sequential engine.  An infeasible
+    instance comes back unreduced with ``report.infeasible`` set.  Output
+    matches :func:`par_kernelize` exactly."""
+    return _run(h, PipelineSpec(("dp", "md"), loop=True))
 
 
 def par_kernelize(h: Hypergraph, *, rule: str = "dp", workers: int = 1) -> KernelRun:
     """The ``rule,md`` fixpoint (``rule`` is ``"dp"`` or ``"se"``) on the
-    parallel engine; raises ``ValueError`` on an infeasible instance.
+    parallel engine.  An infeasible instance comes back unreduced with
+    ``report.infeasible`` set; an unknown ``rule`` raises ``ValueError``.
 
     ``workers`` is validated but selects nothing: every phase is
     vectorized, and any worker count gives identical results.
     """
     if rule not in ("dp", "se"):
         raise ValueError(f"unknown edge rule {rule!r}")
-    return _kernelize(h, PipelineSpec((rule, "md"), engine="parallel", loop=True, workers=workers))
-
-
-def compute_stats(h: Hypergraph, which: set[str]) -> dict[str, int]:
-    """Requested parameters of the instance's incidence graph.
-
-    ``which`` is a subset of {"dilworth", "diversity", "matching", "size"}.
-    """
-    known = {"dilworth", "diversity", "matching", "size"}
-    unknown = which - known
-    if unknown:
-        raise ValueError(f"unknown stats {sorted(unknown)}; expected subset of {sorted(known)}")
-    out: dict[str, int] = {}
-    if "size" in which:
-        out["size"] = instance_size(h)
-    if which & {"dilworth", "diversity", "matching"}:
-        g = incidence_graph(h).graph
-        if "dilworth" in which:
-            out["dilworth"] = dilworth_number(g)
-        if "diversity" in which:
-            out["diversity"] = neighborhood_diversity(g)
-        if "matching" in which:
-            out["matching"] = matching_number(g)
-    return out
+    return _run(h, PipelineSpec((rule, "md"), engine="parallel", loop=True, workers=workers))

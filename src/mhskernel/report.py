@@ -1,9 +1,14 @@
-"""Reduction run reports."""
+"""Reduction run reports.
+
+Every pipeline entry point reports infeasibility in
+:attr:`KernelReport.infeasible` and never raises for it; the report's
+JSON keys are its fields, in declaration order.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .instance import Hypergraph
 
@@ -34,22 +39,10 @@ class KernelReport:
     wall_times_ms: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        # Fixed key order keeps report files diffable.
-        return {
-            "n_before": self.n_before,
-            "m_before": self.m_before,
-            "size_before": self.size_before,
-            "n_after": self.n_after,
-            "m_after": self.m_after,
-            "size_after": self.size_after,
-            "rounds": self.rounds,
-            "deleted_by_rule": {k: self.deleted_by_rule.get(k, 0) for k in RULE_KEYS},
-            "budget_delta": self.budget_delta,
-            "infeasible": self.infeasible,
-            "bound_2_alpha_nabla": self.bound_2_alpha_nabla,
-            "matching_bound": self.matching_bound,
-            "wall_times_ms": {k: self.wall_times_ms[k] for k in sorted(self.wall_times_ms)},
-        }
+        # The field order is the key order, which keeps report files diffable.
+        out = asdict(self)
+        out["wall_times_ms"] = dict(sorted(self.wall_times_ms.items()))
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -59,9 +52,9 @@ class KernelReport:
 class KernelRun:
     """Result of a reduction engine run.
 
-    ``hypergraph`` is the compacted remainder; the alive tuples carry the
-    surviving items' original 1-based ids, which is what engine-equivalence
-    checks compare.
+    ``hypergraph`` is the compacted remainder (the input itself when it was
+    infeasible); the alive tuples carry the surviving items' original
+    1-based ids, which is what engine-equivalence checks compare.
     """
 
     hypergraph: Hypergraph

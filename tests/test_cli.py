@@ -131,6 +131,15 @@ def test_ingest_command(tmp_path, capsys):
     assert h.edges == ((10,),)
 
 
+def test_ingest_rejects_non_finite_cells(tmp_path, capsys):
+    csv = tmp_path / "responses.csv"
+    csv.write_text("1,2,3,4,50\n1,nan,3,4,50\n")
+    out = tmp_path / "ingested.mhs"
+    assert main(["ingest", "--csv", str(csv), "-o", str(out)]) == 2
+    assert "row 2, column 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_module_entry_point(ce_file):
     result = run_python("-m", "mhskernel", "solve", "-i", ce_file)
     assert result.returncode == 0

@@ -87,3 +87,9 @@ class TestIngest:
             ingest_response_matrix("1,2\n", direction="sideways")
         with pytest.raises(ValueError):
             ingest_response_matrix("1,2\n", alpha=0)
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "-Infinity"])
+    def test_non_finite_cell_rejected(self, cell):
+        # A NaN row mean would otherwise drop the row as "empty" with no error.
+        with pytest.raises(ValueError, match="row 2, column 2"):
+            ingest_response_matrix(f"1,2,3,4,50\n1,{cell},3,4,50\n")

@@ -46,6 +46,13 @@ def test_incidence_graph_shapes(ce):
     assert empty.graph.num_nodes == 0
 
 
+def test_graph_rejects_nodes_out_of_range():
+    # A negative id would otherwise index from the end and add a phantom neighbour.
+    for edge in ((-1, 0), (0, -3), (3, 0), (0, 3)):
+        with pytest.raises(IndexError):
+            Graph.from_edges(3, [edge])
+
+
 def test_vinical_examples():
     ladder = nested_neighborhood_graph(2)  # u1=0, v1=1, u2=2, v2=3
     assert vinical_leq(ladder, 2, 0)  # later isolated node sits below earlier

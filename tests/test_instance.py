@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhskernel import (
     Hypergraph,
@@ -83,6 +85,38 @@ def test_roundtrip_budget_echo():
 @pytest.mark.parametrize("seed", range(25))
 def test_roundtrip_random(seed):
     h = generate_random(n=1 + seed % 9, m=seed % 7, p=0.4, alpha=1 + seed % 3, seed=seed)
+    assert parse_instance(serialize_instance(h)) == h
+
+
+_INT = st.integers(-1, 6)
+_EDGE_LINE = st.builds(
+    lambda f, members: " ".join(map(str, ["e", f, *members])), _INT, st.lists(_INT, max_size=4, unique=True)
+)
+_NOISE_LINE = st.sampled_from(["", "# comment", "p", "e", "x 1", "e 1.5 2", "p mhs 1 1", "e +1 1", "1 2 3"])
+
+
+@st.composite
+def instance_texts(draw):
+    """A header and edge lines built from the format's own tokens, the edge
+    count declared right about half the time, with at most one stray line;
+    or arbitrary text."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(max_size=80))
+    edges = draw(st.lists(_EDGE_LINE, max_size=5))
+    m = draw(st.just(len(edges)) | _INT)
+    lines = [" ".join(map(str, ["p", "mhs", draw(_INT), m, *draw(st.lists(_INT, max_size=1))])), *edges]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_NOISE_LINE))
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=1000, derandomize=True, database=None)
+@given(instance_texts())
+def test_parse_fuzz_rejects_or_round_trips(text):
+    try:
+        h = parse_instance(text)
+    except InstanceError:
+        return
     assert parse_instance(serialize_instance(h)) == h
 
 

@@ -100,8 +100,15 @@ def test_kernelize_fixpoints(ce):
 
 
 def test_kernelize_rejects_infeasible():
+    # Flagged, not raised, as by run_pipeline: the input comes back unreduced.
+    h = Hypergraph(1, ((1,),), (2,))
+    run = par_kernelize(h)
+    assert run.report.infeasible
+    assert run.hypergraph == h
+    assert (run.alive_vertices, run.alive_edges) == ((1,), (1,))
+    assert (run.report.n_after, run.report.m_after, run.report.size_after) == (1, 1, 2)
     with pytest.raises(ValueError):
-        par_kernelize(Hypergraph(1, ((1,),), (2,)))
+        par_kernelize(h, rule="x")
 
 
 def test_kernelize_se_variant_is_weaker():

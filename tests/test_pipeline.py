@@ -1,6 +1,9 @@
 import json
 import random
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mhskernel import (
@@ -9,10 +12,12 @@ from mhskernel import (
     compute_stats,
     generate_random,
     run_pipeline,
+    serialize_instance,
     solve_opt,
 )
+from mhskernel import pipeline
 
-from conftest import brute_force_opt, singletons
+from conftest import brute_force_opt, naive_edge_intersections, naive_vertex_intersections, singletons
 
 
 def test_spec_validation():
@@ -106,17 +111,23 @@ def test_engine_equivalence_end_to_end(seed):
     assert run_pipeline(h, spec_seq)[0] == run_pipeline(h, spec_par)[0]
 
 
-@pytest.mark.parametrize(
-    "order", ["se,dp,md", "dp,se,md", "md,dp", "fe,dp,md", "fe,se,md,dp", "dp,md,lp", "lp,dp,md,fe"]
-)
+PHASE_ORDERS = ["se,dp,md", "dp,se,md", "md,dp", "fe,dp,md", "fe,se,md,dp", "dp,md,lp", "lp,dp,md,fe"]
+
+
+def phase_order_instance(seed: int) -> Hypergraph:
+    """A seeded random instance whose demands are redrawn in ``1..f(e)``."""
+    rng = random.Random(seed)
+    h = generate_random(n=rng.randint(2, 30), m=rng.randint(2, 30), p=rng.choice((0.1, 0.2, 0.35)),
+                        alpha=rng.randint(1, 4), seed=seed)
+    return Hypergraph(h.n, h.edges, tuple(rng.randint(1, f) for f in h.demand))
+
+
+@pytest.mark.parametrize("order", PHASE_ORDERS)
 @pytest.mark.parametrize("seed", range(12))
 def test_engine_equivalence_over_phase_orders(order, seed):
     # The sequential engine carries one count state across phases and
     # rounds; the parallel engine masks the run's matrix for every phase.
-    rng = random.Random(seed)
-    h = generate_random(n=rng.randint(2, 30), m=rng.randint(2, 30), p=rng.choice((0.1, 0.2, 0.35)),
-                        alpha=rng.randint(1, 4), seed=seed)
-    h = Hypergraph(h.n, h.edges, tuple(rng.randint(1, f) for f in h.demand))
+    h = phase_order_instance(seed)
     for loop in (False, True):
         (seq, seq_report), (par, par_report) = (
             run_pipeline(h, PipelineSpec(tuple(order.split(",")), engine=engine, loop=loop, lp_oracle="pushed-max"))
@@ -127,6 +138,39 @@ def test_engine_equivalence_over_phase_orders(order, seed):
         assert seq_report.rounds == par_report.rounds
         assert seq_report.budget_delta == par_report.budget_delta
         assert seq_report.infeasible == par_report.infeasible
+
+
+def assert_counts_match_recount(state):
+    h, edge_alive, vertex_alive = state.active.h, state.edge_alive, state.vertex_alive
+    for counts, naive, alive in (
+        (state.edge_inter, naive_edge_intersections(h, edge_alive, vertex_alive), edge_alive),
+        (state.vertex_inter, naive_vertex_intersections(h, edge_alive, vertex_alive), vertex_alive),
+    ):
+        ids = [i for i, a in enumerate(alive) if a]
+        assert counts[np.ix_(ids, ids)].tolist() == [[naive[i][j] for j in ids] for i in ids]
+
+
+@pytest.mark.parametrize("order", PHASE_ORDERS)
+@pytest.mark.parametrize("seed", range(12))
+def test_sequential_counts_match_a_recount_around_every_phase(order, seed, monkeypatch):
+    # The count state lives across phases and is counted afresh after fe or
+    # lp deleted anything; a stale state would differ before the next phase.
+    calls = []
+
+    def checked(phase):
+        def run(state, *args):
+            assert_counts_match_recount(state)
+            dropped = phase(state, *args)
+            assert_counts_match_recount(state)
+            calls.append(dropped)
+            return dropped
+        return run
+
+    monkeypatch.setattr(pipeline, "seq_reduce_edges", checked(pipeline.seq_reduce_edges))
+    monkeypatch.setattr(pipeline, "seq_reduce_vertices", checked(pipeline.seq_reduce_vertices))
+    for loop in (False, True):
+        run_pipeline(phase_order_instance(seed), PipelineSpec(tuple(order.split(",")), loop=loop, lp_oracle="pushed-max"))
+    assert calls
 
 
 @pytest.mark.parametrize("engine", ["sequential", "parallel"])
@@ -199,3 +243,12 @@ def test_stats(ce):
     }
     with pytest.raises(ValueError):
         compute_stats(ce, {"girth"})
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.DOTALL)
+    assert example, "README.md has no fenced python block under '## Library example'"
+    (tmp_path / "inst.mhs").write_text(serialize_instance(generate_random(n=14, m=10, p=0.3, alpha=2, seed=5)))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example.group(1), "README.md", "exec"), {})

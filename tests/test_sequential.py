@@ -144,8 +144,13 @@ def test_kernelize_fixpoints(ce):
 
 
 def test_kernelize_rejects_infeasible():
-    with pytest.raises(ValueError):
-        seq_kernelize(Hypergraph(1, ((1,),), (2,)))
+    # Flagged, not raised, as by run_pipeline: the input comes back unreduced.
+    h = Hypergraph(1, ((1,),), (2,))
+    run = seq_kernelize(h)
+    assert run.report.infeasible
+    assert run.hypergraph == h
+    assert (run.alive_vertices, run.alive_edges) == ((1,), (1,))
+    assert (run.report.n_after, run.report.m_after, run.report.size_after) == (1, 1, 2)
 
 
 @pytest.mark.parametrize("seed", range(120))
