@@ -10,7 +10,6 @@ from .bitmatrix import IncidenceMatrix, incidence_matrix
 from .generate import generate_random, ingest_response_matrix
 from .graphparams import (
     Graph,
-    IncidenceGraph,
     compute_stats,
     dilworth_number,
     incidence_graph,
@@ -35,7 +34,6 @@ from .report import KernelReport, KernelRun
 from .rules import (
     ActiveInstance,
     RuleOutcome,
-    apply_fe_exhaustively,
     build_pushed_subinstance,
     dominators,
     exact_oracle,
@@ -52,7 +50,6 @@ __all__ = [
     "FeasibilityReport",
     "Graph",
     "Hypergraph",
-    "IncidenceGraph",
     "IncidenceMatrix",
     "InstanceError",
     "KernelReport",
@@ -62,7 +59,6 @@ __all__ = [
     "RuleOutcome",
     "Solution",
     "SolveStatus",
-    "apply_fe_exhaustively",
     "build_pushed_subinstance",
     "compute_stats",
     "dilworth_number",

@@ -31,6 +31,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _cmd_reduce(args) -> int:
+    if args.workers < 1:
+        raise ValueError("worker count must be positive")
     h = _read_instance(args.input)
     phases = tuple(p.strip() for p in args.rules.split(",") if p.strip())
     spec = PipelineSpec(
@@ -38,7 +40,6 @@ def _cmd_reduce(args) -> int:
         engine={"seq": "sequential", "par": "parallel"}[args.engine],
         loop=args.loop,
         lp_oracle=args.lp_oracle,
-        workers=args.workers,
     )
     reduced, report = run_pipeline(h, spec, compute_bounds=args.bounds)
     if args.output:
@@ -122,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the JSON report here (default: stdout)")
     p.add_argument("--bounds", action="store_true", help="also compute the size/iteration bounds")
     p.add_argument("--lp-oracle", choices=("exact", "pushed-max"), default="exact")
-    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; any count gives identical results")
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility and ignored; must be positive")
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("solve", help="solve an instance exactly")

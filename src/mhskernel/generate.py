@@ -78,12 +78,15 @@ def ingest_response_matrix(
     direction.  Rows thresholding to an empty edge are dropped with a
     warning (a constant row always is: its deviation is zero).  Demands
     follow ``min(alpha, |e|)``.  A NaN or infinite cell raises
-    ``ValueError`` naming its row and column.
+    ``ValueError`` naming its row and column, and a NaN or infinite
+    ``sigmas`` raises ``ValueError`` naming the value.
     """
     if direction not in ("above", "below"):
         raise ValueError(f"direction must be 'above' or 'below', got {direction!r}")
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
+    if not math.isfinite(sigmas):
+        raise ValueError(f"sigmas must be finite, got {sigmas}")
     rows = _parse_matrix(text)
     n = len(rows[0]) if rows else 0
     edges = []

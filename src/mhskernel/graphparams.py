@@ -81,32 +81,16 @@ class Graph:
         return leq, np.flatnonzero(rep == np.arange(n))
 
 
-@dataclass(frozen=True)
-class IncidenceGraph:
+def incidence_graph(h: Hypergraph) -> Graph:
     """Bipartite incidence graph of a hypergraph.
 
     Vertex ``j`` of the hypergraph becomes node ``j-1``; edge ``i`` becomes
-    node ``num_left + i - 1``.  An edge-side node is adjacent exactly to
-    the vertices the hyperedge contains.
+    node ``n + i - 1``.  An edge-side node is adjacent exactly to the
+    vertices the hyperedge contains.
     """
-
-    graph: Graph
-    num_left: int  # hypergraph vertices
-    num_right: int  # hypergraph edges
-
-    def vertex_node(self, j: int) -> int:
-        return j - 1
-
-    def edge_node(self, i: int) -> int:
-        return self.num_left + i - 1
-
-
-def incidence_graph(h: Hypergraph) -> IncidenceGraph:
-    pairs = []
-    for i, members in enumerate(h.edges, start=1):
-        for j in members:
-            pairs.append((j - 1, h.n + i - 1))
-    return IncidenceGraph(Graph.from_edges(h.n + h.m, pairs), h.n, h.m)
+    vertex_side = (frozenset(h.n + i - 1 for i in incident) for incident in h.vertex_edges)
+    edge_side = (frozenset(j - 1 for j in members) for members in h.edges)
+    return Graph((*vertex_side, *edge_side))
 
 
 def vinical_leq(g: Graph, u: int, v: int) -> bool:
@@ -241,7 +225,7 @@ def compute_stats(h: Hypergraph, which: set[str]) -> dict[str, int]:
     if "size" in which:
         out["size"] = instance_size(h)
     if which & {"dilworth", "diversity", "matching"}:
-        g = incidence_graph(h).graph
+        g = incidence_graph(h)
         if "dilworth" in which:
             out["dilworth"] = dilworth_number(g)
         if "diversity" in which:

@@ -8,7 +8,7 @@ every phase order and both engines run through it on one
 finishes a run: :func:`run_pipeline` returns its hypergraph and report,
 and :func:`seq_kernelize` and :func:`par_kernelize` are fixed specs of it.
 None of them raises on infeasibility: an infeasible input comes back
-unreduced with ``report.infeasible`` set, and a run whose ``fe`` cascade
+unreduced with ``report.infeasible`` set, and a run whose ``fe`` phase
 meets an unsatisfiable edge, or overdraws the budget, returns what it
 reached with the same flag.  Both engines run the edge rules (``dp`` and
 ``se``) and ``md`` through the same predicates of :mod:`rules`:
@@ -44,17 +44,12 @@ LP_ORACLES = {"exact": exact_oracle, "pushed-max": pushed_max_oracle}
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """Which phases to run, on which engine, and whether to loop.
-
-    ``workers`` is validated but selects no code path: every worker count
-    gives identical results.
-    """
+    """Which phases to run, on which engine, and whether to loop."""
 
     phases: tuple[str, ...]
     engine: str = "sequential"
     loop: bool = False
     lp_oracle: str = "exact"
-    workers: int = 1
 
     def __post_init__(self):
         if not self.phases:
@@ -66,8 +61,6 @@ class PipelineSpec:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.lp_oracle not in LP_ORACLES:
             raise ValueError(f"unknown lp oracle {self.lp_oracle!r}")
-        if self.workers < 1:
-            raise ValueError("worker count must be positive")
 
 
 def _par_phase(active: ActiveInstance, phase: str) -> int:
@@ -99,7 +92,7 @@ def _reduce(h: Hypergraph, spec: PipelineSpec, report: KernelReport) -> ActiveIn
             phase_started = time.perf_counter()
             if phase == "fe":
                 outcome = fe_pass(active)
-                report.budget_delta += outcome.budget_delta
+                report.budget_delta += len(outcome.deleted_vertices)
                 report.infeasible = outcome.infeasible
                 # fe deletes vertices only together with an edge, so the
                 # edge count alone tells whether anything was deleted.
@@ -151,7 +144,7 @@ def run_pipeline(
     """Run the phases in order (looped to joint fixpoint when flagged).
 
     An infeasible input comes back unreduced, and infeasibility detected
-    mid-pipeline by the full-edge cascade halts the run; either way the
+    mid-pipeline by the full-edge rule halts the run; either way the
     report says ``infeasible=True`` and nothing is raised.  The bound
     fields, from the Dilworth and matching numbers of the incidence graph,
     are filled only on request.
@@ -171,14 +164,10 @@ def seq_kernelize(h: Hypergraph) -> KernelRun:
     return _run(h, PipelineSpec(("dp", "md"), loop=True))
 
 
-def par_kernelize(h: Hypergraph, *, rule: str = "dp", workers: int = 1) -> KernelRun:
+def par_kernelize(h: Hypergraph, *, rule: str = "dp") -> KernelRun:
     """The ``rule,md`` fixpoint (``rule`` is ``"dp"`` or ``"se"``) on the
     parallel engine.  An infeasible instance comes back unreduced with
-    ``report.infeasible`` set; an unknown ``rule`` raises ``ValueError``.
-
-    ``workers`` is validated but selects nothing: every phase is
-    vectorized, and any worker count gives identical results.
-    """
+    ``report.infeasible`` set; an unknown ``rule`` raises ``ValueError``."""
     if rule not in ("dp", "se"):
         raise ValueError(f"unknown edge rule {rule!r}")
-    return _run(h, PipelineSpec((rule, "md"), engine="parallel", loop=True, workers=workers))
+    return _run(h, PipelineSpec((rule, "md"), engine="parallel", loop=True))

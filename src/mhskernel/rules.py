@@ -4,7 +4,9 @@ Rule-level predicates and single-rule applications, shared by both
 reduction engines and testable in isolation:
 
 * full-edge (fe): an edge whose demand equals its size forces all of its
-  vertices into every solution; deleting them cascades demand decrements.
+  vertices into every solution; forcing them lowers the demand of every
+  edge holding them, and one pass is exhaustive because forcing never
+  makes another edge full.
 * superedge (se): delete an edge containing another edge of at least the
   same demand.
 * demand pushing (dp): edge ``a`` supersedes edge ``b`` when
@@ -38,8 +40,6 @@ class RuleOutcome:
 
     deleted_edges: set[int] = field(default_factory=set)
     deleted_vertices: set[int] = field(default_factory=set)
-    demand_decrements: dict[int, int] = field(default_factory=dict)
-    budget_delta: int = 0
     infeasible: bool = False
 
 
@@ -65,9 +65,6 @@ class ActiveInstance:
     def edge_members(self, i: int) -> tuple[int, ...]:
         """Alive vertices of edge ``i``."""
         return tuple(j for j in self.h.edges[i - 1] if self.vertex_alive[j - 1])
-
-    def edge_size(self, i: int) -> int:
-        return sum(1 for j in self.h.edges[i - 1] if self.vertex_alive[j - 1])
 
     def vertex_incidences(self, j: int) -> tuple[int, ...]:
         """Alive edges containing vertex ``j``."""
@@ -170,59 +167,35 @@ def dominating(common, deg_i, id_i, deg_j, id_j):
 
 
 def fe_pass(active: ActiveInstance) -> RuleOutcome:
-    """Exhaustively apply the full-edge rule, cascading demand decrements.
+    """Exhaustively apply the full-edge rule, in one pass.
 
-    Deleting a full edge forces its vertices into the solution; each
-    forced vertex shrinks the other edges containing it and lowers their
-    demand by one, which may create new full edges or satisfy edges
-    entirely (demand zero).  The outcome's budget delta counts the forced
-    vertices.  Infeasibility (an edge left with more demand than vertices)
-    is reported in the outcome, not raised.
+    A full edge (demand equal to its alive size) forces its vertices into
+    every solution.  Forcing a vertex lowers both the size and the demand
+    of each alive edge holding it by one, so ``|e| - f(e)`` never changes:
+    an edge that is not full at the start never becomes full.  Forcing the
+    union of the full edges' members therefore reaches the fixpoint at
+    once.  Each alive edge's demand drops by the forced vertices it holds,
+    and the edges left with no demand (the full ones among them) are
+    deleted, then the forced vertices.  An edge with more demand than alive
+    vertices makes the outcome infeasible and leaves the overlay untouched.
     """
     outcome = RuleOutcome()
-    sizes = [0] * active.h.m
-    queue: list[int] = []
-    for i in active.alive_edge_ids():
-        sizes[i - 1] = active.edge_size(i)
-        if active.demand[i - 1] > sizes[i - 1]:
-            outcome.infeasible = True
-            return outcome
-        if active.demand[i - 1] == sizes[i - 1]:
-            queue.append(i)
-    while queue:
-        i = queue.pop()
-        if not active.edge_alive[i - 1] or active.demand[i - 1] != sizes[i - 1]:
-            continue
-        forced = active.edge_members(i)
-        active.edge_alive[i - 1] = False
-        outcome.deleted_edges.add(i)
-        for v in forced:
-            active.vertex_alive[v - 1] = False
-            outcome.deleted_vertices.add(v)
-            outcome.budget_delta += 1
-            for other in active.vertex_incidences(v):
-                sizes[other - 1] -= 1
-                active.demand[other - 1] -= 1
-                outcome.demand_decrements[other] = outcome.demand_decrements.get(other, 0) + 1
-                if active.demand[other - 1] <= 0:
-                    active.edge_alive[other - 1] = False
-                    outcome.deleted_edges.add(other)
-                elif active.demand[other - 1] == sizes[other - 1]:
-                    queue.append(other)
-                elif active.demand[other - 1] > sizes[other - 1]:
-                    outcome.infeasible = True
-                    return outcome
+    members = {i: active.edge_members(i) for i in active.alive_edge_ids()}
+    if any(active.demand[i - 1] > len(e) for i, e in members.items()):
+        outcome.infeasible = True
+        return outcome
+    forced = {v for i, e in members.items() if active.demand[i - 1] == len(e) for v in e}
+    if not forced:
+        return outcome
+    for i, e in members.items():
+        active.demand[i - 1] -= sum(v in forced for v in e)
+        if active.demand[i - 1] <= 0:
+            active.edge_alive[i - 1] = False
+            outcome.deleted_edges.add(i)
+    for v in forced:
+        active.vertex_alive[v - 1] = False
+    outcome.deleted_vertices = forced
     return outcome
-
-
-def apply_fe_exhaustively(h: Hypergraph) -> tuple[Hypergraph, RuleOutcome]:
-    """Full-edge rule on a whole instance; returns the compacted remainder."""
-    active = ActiveInstance(h)
-    outcome = fe_pass(active)
-    reduced, _, _ = active.extract()
-    if h.budget is not None:
-        reduced = Hypergraph(reduced.n, reduced.edges, reduced.demand, h.budget - outcome.budget_delta)
-    return reduced, outcome
 
 
 def build_pushed_subinstance(active: ActiveInstance, j: int) -> tuple[Hypergraph, list[int]]:

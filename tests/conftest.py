@@ -104,6 +104,35 @@ def rescan_lp_pass(active, oracle) -> set[int]:
     return deleted
 
 
+def fixpoint_fe(active) -> tuple[set[int], set[int], bool]:
+    """The full-edge rule one edge at a time on an ``ActiveInstance``:
+    pick any alive full edge, force its alive vertices, lower the demand of
+    every alive edge per forced vertex it holds, delete the edges left with
+    no demand, and repeat until no alive edge is full.  Returns the deleted
+    edges, the forced vertices and whether some alive edge was found with
+    more demand than alive vertices (the search stops there)."""
+    deleted_edges: set[int] = set()
+    forced: set[int] = set()
+    while True:
+        alive = [i for i in range(1, active.h.m + 1) if active.edge_alive[i - 1]]
+        members = {i: {v for v in active.h.edges[i - 1] if active.vertex_alive[v - 1]} for i in alive}
+        if any(active.demand[i - 1] > len(members[i]) for i in alive):
+            return deleted_edges, forced, True
+        full = [i for i in alive if active.demand[i - 1] == len(members[i])]
+        if not full:
+            return deleted_edges, forced, False
+        for v in members[full[0]]:
+            active.vertex_alive[v - 1] = False
+            forced.add(v)
+            for i in alive:
+                if v in members[i]:
+                    active.demand[i - 1] -= 1
+        for i in alive:
+            if active.demand[i - 1] <= 0:
+                active.edge_alive[i - 1] = False
+                deleted_edges.add(i)
+
+
 def brute_force_matching(g: Graph) -> int:
     """Maximum matching size by exhaustive search over edge subsets."""
     edges = sorted({(min(u, v), max(u, v)) for u in range(g.num_nodes) for v in g.adj[u]})

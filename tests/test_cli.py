@@ -140,6 +140,21 @@ def test_ingest_rejects_non_finite_cells(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigmas", ["nan", "inf", "-inf"])
+def test_ingest_rejects_non_finite_sigmas(tmp_path, capsys, sigmas):
+    csv = tmp_path / "responses.csv"
+    csv.write_text("1,2,3,4,50\n")
+    out = tmp_path / "ingested.mhs"
+    assert main(["ingest", "--csv", str(csv), f"--sigmas={sigmas}", "-o", str(out)]) == 2
+    assert f"sigmas must be finite, got {float(sigmas)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reduce_rejects_non_positive_workers(ce_file, capsys):
+    assert main(["reduce", "-i", ce_file, "--workers", "0"]) == 2
+    assert "worker count must be positive" in capsys.readouterr().err
+
+
 def test_module_entry_point(ce_file):
     result = run_python("-m", "mhskernel", "solve", "-i", ce_file)
     assert result.returncode == 0

@@ -88,6 +88,12 @@ class TestIngest:
         with pytest.raises(ValueError):
             ingest_response_matrix("1,2\n", alpha=0)
 
+    @pytest.mark.parametrize("sigmas", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_sigmas_rejected(self, sigmas):
+        # NaN or +inf would drop every row, -inf would put every column in every edge.
+        with pytest.raises(ValueError, match=f"sigmas must be finite, got {sigmas}"):
+            ingest_response_matrix("1,2,3,4,50\n", sigmas=sigmas)
+
     @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "-Infinity"])
     def test_non_finite_cell_rejected(self, cell):
         # A NaN row mean would otherwise drop the row as "empty" with no error.

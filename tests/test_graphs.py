@@ -34,16 +34,22 @@ from conftest import (
 
 
 def test_incidence_graph_shapes(ce):
-    inc = incidence_graph(ce)
-    assert inc.graph.num_nodes == 5 + 3
-    assert inc.graph.num_edges == 2 + 3 + 3
+    # Vertex j is node j - 1, edge i is node n + i - 1.
+    g = incidence_graph(ce)
+    assert g.num_nodes == 5 + 3
+    assert g.num_edges == 2 + 3 + 3
     # edge-side node neighborhoods are exactly the hyperedge contents
-    assert inc.graph.adj[inc.edge_node(2)] == {inc.vertex_node(j) for j in (2, 3, 4)}
-    inc_t3 = incidence_graph(singletons(3))
-    assert inc_t3.graph.num_edges == 3
-    assert all(len(inc_t3.graph.adj[u]) == 1 for u in range(6))
-    empty = incidence_graph(Hypergraph(0, (), ()))
-    assert empty.graph.num_nodes == 0
+    assert g.adj[5 + 2 - 1] == {j - 1 for j in (2, 3, 4)}
+    g_t3 = incidence_graph(singletons(3))
+    assert g_t3.num_edges == 3
+    assert all(len(g_t3.adj[u]) == 1 for u in range(6))
+    assert incidence_graph(Hypergraph(0, (), ())).num_nodes == 0
+    # Empty edges and uncovered vertices stay isolated nodes.
+    instances = [Hypergraph(4, ((), (1, 3), (1, 3)), (1, 1, 2))]
+    instances += [generate_random(9, 7, 0.3, 2, seed) for seed in range(5)]
+    for h in instances:
+        pairs = [(j - 1, h.n + i - 1) for i, members in enumerate(h.edges, start=1) for j in members]
+        assert incidence_graph(h) == Graph.from_edges(h.n + h.m, pairs)
 
 
 def test_graph_rejects_nodes_out_of_range():
@@ -57,12 +63,12 @@ def test_vinical_examples():
     ladder = nested_neighborhood_graph(2)  # u1=0, v1=1, u2=2, v2=3
     assert vinical_leq(ladder, 2, 0)  # later isolated node sits below earlier
     assert not vinical_leq(ladder, 0, 2)
-    inc = incidence_graph(singletons(2))
-    e1, e2 = inc.edge_node(1), inc.edge_node(2)
-    assert not vinical_leq(inc.graph, e1, e2)
-    assert not vinical_leq(inc.graph, e2, e1)
-    for u in range(inc.graph.num_nodes):
-        assert vinical_leq(inc.graph, u, u)  # reflexive
+    g = incidence_graph(singletons(2))
+    e1, e2 = 2, 3  # the edge-side nodes follow the two vertex-side ones
+    assert not vinical_leq(g, e1, e2)
+    assert not vinical_leq(g, e2, e1)
+    for u in range(g.num_nodes):
+        assert vinical_leq(g, u, u)  # reflexive
     with pytest.raises(IndexError):
         vinical_leq(ladder, 0, 99)
 
@@ -89,7 +95,7 @@ def test_dilworth_examples():
     assert dilworth_number(Graph.from_edges(1, [])) == 1
     assert dilworth_number(Graph.from_edges(0, [])) == 0
     for n in (1, 2, 5):
-        assert dilworth_number(incidence_graph(singletons(n)).graph) == n
+        assert dilworth_number(incidence_graph(singletons(n))) == n
 
 
 def test_diversity_examples():
@@ -98,7 +104,7 @@ def test_diversity_examples():
     assert dilworth_number(complete4) == 1
     # In the incidence graph of two disjoint singletons each hyperedge node
     # and its single vertex are adjacent twins, leaving two classes.
-    assert neighborhood_diversity(incidence_graph(singletons(2)).graph) == 2
+    assert neighborhood_diversity(incidence_graph(singletons(2))) == 2
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -132,8 +138,8 @@ def test_quotient_strict_order_is_acyclic():
 
 def test_matching_examples(ce):
     for n in (1, 3, 6):
-        assert matching_number(incidence_graph(singletons(n)).graph) == n
-    g = incidence_graph(ce).graph
+        assert matching_number(incidence_graph(singletons(n))) == n
+    g = incidence_graph(ce)
     assert matching_number(g) == 3
     assert matching_number(g) == brute_force_matching(g)
     assert matching_number(Graph.from_edges(0, [])) == 0
@@ -146,7 +152,7 @@ def test_matching_against_bruteforce_random(seed):
     rng = random.Random(seed)
     edges = [sorted(rng.sample(range(1, 6), rng.randint(1, 3))) for _ in range(rng.randint(1, 5))]
     h = Hypergraph.from_edges(5, edges, [1] * len(edges))
-    g = incidence_graph(h).graph
+    g = incidence_graph(h)
     assert matching_number(g) == brute_force_matching(g)
 
 
@@ -154,7 +160,7 @@ def test_kernel_bound(ce):
     for n in (1, 4, 7):
         assert kernel_bound(singletons(n)) == 2 * n
     assert kernel_bound(Hypergraph(0, (), ())) == 0
-    nabla = dilworth_number(incidence_graph(ce).graph)
+    nabla = dilworth_number(incidence_graph(ce))
     assert kernel_bound(ce) == 2 * 2 * nabla
     assert nabla == 4  # frozen from the antichain oracle
 
@@ -180,7 +186,7 @@ def test_parameters_match_oracles_on_small_cases():
 @pytest.mark.parametrize("seed, rows, cols, modules", [(1, 450, 64, 5), (2, 300, 50, 7), (4, 250, 50, 6)])
 def test_parameters_match_oracles_on_screen_inputs(seed, rows, cols, modules):
     h = ingest_response_matrix(response_matrix_csv(seed, rows, cols, modules), alpha=2)
-    g = incidence_graph(h).graph
+    g = incidence_graph(h)
     # The co-occurrence kernel emits sum(deg²) pairs: several chunks here.
     assert sum(len(s) ** 2 for s in g.adj) > 2 * BLOCK_CELLS
     assert_matches_oracles(g)
@@ -245,5 +251,5 @@ def test_stats_compute_the_containment_preorder_once(monkeypatch):
     monkeypatch.setattr(bitmatrix.IncidenceMatrix, "edge_pairs", counting)
     stats = compute_stats(h, {"dilworth", "diversity"})
     assert len(passes) == 1
-    g = incidence_graph(h).graph
+    g = incidence_graph(h)
     assert stats == {"dilworth": naive_dilworth(g), "diversity": naive_diversity(g)}

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -16,11 +17,13 @@ from mhskernel import (
     par_reduce_edges,
     par_reduce_vertices,
     seq_kernelize,
+    serialize_instance,
     solve_opt,
     supersedes,
 )
 
 from mhskernel.bitmatrix import BLOCK_CELLS, PAIR_COST, _dense_counts, _sparse_counts
+from mhskernel.cli import main
 
 from conftest import brute_force_opt, singletons
 
@@ -123,12 +126,21 @@ def test_kernelize_se_variant_is_weaker():
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_worker_counts_agree(seed):
+def test_worker_counts_agree(seed, tmp_path):
+    # Only the CLI still takes a worker count, and it ignores it: every
+    # count writes the library's kernel and report (wall times aside).
     h = generate_random(n=3 + seed % 20, m=3 + (7 * seed) % 20, p=0.4, alpha=1 + seed % 3, seed=seed)
-    runs = [par_kernelize(h, workers=w) for w in (1, 4, 8)]
-    assert runs[0].alive_vertices == runs[1].alive_vertices == runs[2].alive_vertices
-    assert runs[0].alive_edges == runs[1].alive_edges == runs[2].alive_edges
-    assert runs[0].hypergraph == runs[1].hypergraph == runs[2].hypergraph
+    run = par_kernelize(h)
+    expected = {**run.report.to_dict(), "wall_times_ms": None}
+    instance = tmp_path / "instance.mhs"
+    instance.write_text(serialize_instance(h))
+    for workers in ("1", "4", "8"):
+        kernel, report = tmp_path / f"kernel{workers}.mhs", tmp_path / f"report{workers}.json"
+        argv = ["reduce", "-i", str(instance), "-o", str(kernel), "--report", str(report),
+                "--rules", "dp,md", "--engine", "par", "--loop", "--workers", workers]
+        assert main(argv) == 0
+        assert kernel.read_text() == serialize_instance(run.hypergraph)
+        assert {**json.loads(report.read_text()), "wall_times_ms": None} == expected
 
 
 def _single_pair_keep_vectors(h):
@@ -296,7 +308,7 @@ def test_optimum_preserved(seed):
 def test_round_bound(seed):
     h = generate_random(n=2 + seed % 16, m=2 + (7 * seed) % 16, p=0.35, alpha=1 + seed % 3, seed=seed)
     run = par_kernelize(h)
-    assert run.report.rounds <= matching_number(incidence_graph(h).graph) + 1
+    assert run.report.rounds <= matching_number(incidence_graph(h)) + 1
 
 
 @pytest.mark.parametrize("seed", range(30))

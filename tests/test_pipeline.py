@@ -16,6 +16,7 @@ from mhskernel import (
     solve_opt,
 )
 from mhskernel import pipeline
+from mhskernel.rules import lp_pass
 
 from conftest import brute_force_opt, naive_edge_intersections, naive_vertex_intersections, singletons
 
@@ -29,8 +30,6 @@ def test_spec_validation():
         PipelineSpec(phases=("dp",), engine="gpu")
     with pytest.raises(ValueError):
         PipelineSpec(phases=("lp",), lp_oracle="psychic")
-    with pytest.raises(ValueError):
-        PipelineSpec(phases=("dp",), workers=0)
 
 
 @pytest.mark.parametrize("engine", ["sequential", "parallel"])
@@ -101,6 +100,38 @@ def test_lp_pipeline_uses_oracle(ce):
     assert brute_force_opt(h) == brute_force_opt(reduced)
     cheap, _ = run_pipeline(h, PipelineSpec(("lp",), loop=True, lp_oracle="pushed-max"))
     assert brute_force_opt(h) == brute_force_opt(cheap)
+
+
+def test_lp_retries_an_edge_whose_oracle_raised(monkeypatch):
+    # Edge 2 pushes its whole demand into edge 1, so lp deletes edge 1 and
+    # nothing else; md deletes vertices 2 and 3 in round 1 either way.  If
+    # edge 1's oracle call raises, md's deletions start round 2, which
+    # retries and deletes edge 1.
+    h = Hypergraph.from_edges(3, [[1, 2, 3], [1, 2]], [1, 1])
+    spec = PipelineSpec(("lp", "md"), loop=True)
+    expected, _ = run_pipeline(h, spec)
+    oracle = pipeline.LP_ORACLES["exact"]
+    failed = []
+
+    def flaky(sub):
+        if not failed and sub.n == 3:  # edge 1's pushed subinstance, once
+            failed.append(sub)
+            raise RuntimeError("oracle gave up")
+        return oracle(sub)
+
+    rounds = []
+
+    def recorded(active, oracle):
+        rounds.append(lp_pass(active, oracle))
+        return rounds[-1]
+
+    monkeypatch.setitem(pipeline.LP_ORACLES, "exact", flaky)
+    monkeypatch.setattr(pipeline, "lp_pass", recorded)
+    reduced, report = run_pipeline(h, spec)
+    assert failed
+    assert rounds == [set(), {1}, set()]
+    assert report.deleted_by_rule["lp"] == 1 and report.deleted_by_rule["md"] == 2
+    assert reduced == expected == Hypergraph(1, ((1,),), (1,))
 
 
 @pytest.mark.parametrize("seed", range(40))

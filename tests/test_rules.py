@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mhskernel import (
     ActiveInstance,
     Hypergraph,
-    apply_fe_exhaustively,
+    PipelineSpec,
     build_pushed_subinstance,
     dominators,
     exact_oracle,
@@ -17,6 +17,7 @@ from mhskernel import (
     lp_rule_applicable,
     md_applicable,
     pushed_max_oracle,
+    run_pipeline,
     seq_reduce_edges,
     seq_reduce_vertices,
     solve_opt,
@@ -25,7 +26,14 @@ from mhskernel import (
 from mhskernel.pipeline import _par_phase
 from mhskernel.rules import fe_pass, lp_pass
 
-from conftest import brute_force_feasible, brute_force_opt, naive_extract, rescan_lp_pass, singletons
+from conftest import (
+    brute_force_feasible,
+    brute_force_opt,
+    fixpoint_fe,
+    naive_extract,
+    rescan_lp_pass,
+    singletons,
+)
 
 
 def active(h: Hypergraph) -> ActiveInstance:
@@ -139,43 +147,75 @@ class TestMdApplicable:
                 )
 
 
+def fe_run(h: Hypergraph):
+    """The full-edge rule on a whole instance, finished like every run."""
+    return run_pipeline(h, PipelineSpec(("fe",)))
+
+
+@st.composite
+def fe_overlays(draw) -> ActiveInstance:
+    """A small instance with duplicate edges under random prior deletions,
+    each alive edge demanding up to its alive size (full edges are common)
+    and now and then one more (infeasible)."""
+    n = draw(st.integers(1, 10))
+    edges = draw(st.lists(st.sets(st.integers(1, n), min_size=1, max_size=n), max_size=10))
+    edges += [edges[k] for k in draw(st.lists(st.integers(0, len(edges) - 1), max_size=3))] if edges else []
+    vertex_alive = draw(st.lists(st.sampled_from([True] * 5 + [False]), min_size=n, max_size=n))
+    edge_alive = draw(st.lists(st.sampled_from([True, True, True, False]), min_size=len(edges), max_size=len(edges)))
+    demand = []
+    for e in edges:
+        size = sum(vertex_alive[v - 1] for v in e)
+        extra = draw(st.sampled_from([0] * 19 + [1]))
+        demand.append(draw(st.integers(1, max(size, 1))) + extra)
+    a = ActiveInstance(Hypergraph.from_edges(n, edges, demand))
+    a.vertex_alive, a.edge_alive = vertex_alive, edge_alive
+    return a
+
+
 class TestFullEdge:
     def test_cascade(self):
+        # Forcing edge 1's vertices satisfies edge 2 through vertex 2.
         h = Hypergraph.from_edges(3, [[1, 2], [2, 3]], [2, 1])
-        reduced, outcome = apply_fe_exhaustively(h)
+        outcome = fe_pass(active(h))
         assert outcome.deleted_edges == {1, 2}
         assert outcome.deleted_vertices == {1, 2}
-        assert outcome.budget_delta == 2
         assert not outcome.infeasible
+        reduced, report = fe_run(h)
+        assert report.budget_delta == 2
+        assert not report.infeasible
         assert reduced.n == 1 and reduced.m == 0
 
     def test_singletons_fully_consumed(self):
-        reduced, outcome = apply_fe_exhaustively(singletons(4))
-        assert outcome.budget_delta == 4
+        reduced, report = fe_run(singletons(4))
+        assert report.budget_delta == 4
         assert reduced.n == 0 and reduced.m == 0
 
     def test_ce_canonical_trace(self, ce):
         # Edge 1 is full (two vertices, demand two): vertices 1 and 2 are
-        # forced, the other demands drop to one.
+        # forced, the demands of edges 2 and 3 drop by one each.
         a = ActiveInstance(ce)
         outcome = fe_pass(a)
         assert outcome.deleted_edges == {1}
         assert outcome.deleted_vertices == {1, 2}
-        assert outcome.budget_delta == 2
-        assert outcome.demand_decrements == {2: 1, 3: 1}
         assert a.vertex_alive == [False, False, True, True, True]
+        assert a.edge_alive == [False, True, True]
         assert a.edge_members(2) == (3, 4) and a.demand[1] == 1
         assert a.edge_members(3) == (3, 5) and a.demand[2] == 1
+        assert fe_run(ce)[1].budget_delta == 2
 
     def test_budget_carries_through(self):
         h = Hypergraph.from_edges(3, [[1, 2], [2, 3]], [2, 1], budget=3)
-        reduced, outcome = apply_fe_exhaustively(h)
+        reduced, _ = fe_run(h)
         assert reduced.budget == 1
 
     def test_infeasible_input_reported_not_raised(self):
         h = Hypergraph(2, ((1,), (1, 2)), (2, 1))
-        _, outcome = apply_fe_exhaustively(h)
+        a = active(h)
+        outcome = fe_pass(a)
         assert outcome.infeasible
+        assert not outcome.deleted_edges and not outcome.deleted_vertices
+        assert a.vertex_alive == [True, True] and a.edge_alive == [True, True]
+        assert a.demand == [2, 1]
 
     @pytest.mark.parametrize("seed", range(60))
     def test_preserves_optimum(self, seed):
@@ -186,15 +226,15 @@ class TestFullEdge:
             alpha=1 + seed % 3,
             seed=seed,
         )
-        reduced, outcome = apply_fe_exhaustively(h)
-        assert not outcome.infeasible
-        assert brute_force_opt(h) == brute_force_opt(reduced) + outcome.budget_delta
+        reduced, report = fe_run(h)
+        assert not report.infeasible
+        assert brute_force_opt(h) == brute_force_opt(reduced) + report.budget_delta
         # no full edge is left behind
         assert all(len(e) > f for e, f in zip(reduced.edges, reduced.demand))
 
     def test_infeasible_flag_agrees_with_bruteforce(self):
         h = Hypergraph(3, ((1, 2), (2, 3)), (2, 2))
-        _, outcome = apply_fe_exhaustively(h)
+        outcome = fe_pass(active(h))
         assert outcome.infeasible == (not brute_force_feasible(h))
         assert not outcome.infeasible
 
@@ -207,8 +247,22 @@ class TestFullEdge:
             idx = seed % h.m
             demand[idx] = len(h.edges[idx]) + 1
             h = Hypergraph(h.n, h.edges, tuple(demand))
-        _, outcome = apply_fe_exhaustively(h)
+        outcome = fe_pass(active(h))
         assert outcome.infeasible == (not brute_force_feasible(h))
+
+    @settings(max_examples=400, deadline=1000, derandomize=True, database=None)
+    @given(fe_overlays())
+    def test_matches_fixpoint_reference(self, a):
+        ref = ActiveInstance(a.h)
+        ref.vertex_alive, ref.edge_alive, ref.demand = list(a.vertex_alive), list(a.edge_alive), list(a.demand)
+        deleted_edges, forced, infeasible = fixpoint_fe(ref)
+        outcome = fe_pass(a)
+        assert outcome.infeasible == infeasible
+        assert outcome.deleted_edges == deleted_edges
+        assert outcome.deleted_vertices == forced
+        assert a.vertex_alive == ref.vertex_alive
+        assert a.edge_alive == ref.edge_alive
+        assert [a.demand[i - 1] for i in a.alive_edge_ids()] == [ref.demand[i - 1] for i in ref.alive_edge_ids()]
 
 
 class TestPushedSubinstance:
