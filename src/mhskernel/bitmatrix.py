@@ -10,22 +10,25 @@ intersection sizes (``A·Aᵀ``) and shared-edge counts of vertices
 (``Aᵀ·A``).  :meth:`IncidenceMatrix.edge_pairs` and
 :meth:`IncidenceMatrix.vertex_pairs` yield them in chunks of pairs
 ``(a, b, count)`` with ``count >= 1``; pairs that share nothing are
-absent.  A chunk covers a run of left items ``a`` and every partner of
-each, so per-pair facts may be accumulated across chunks.  Each count is
-taken on one of two paths: the dense one when the pairs fill more than
-one chunk and cost more operations than the product (``PAIR_COST``),
-the sparse one otherwise.
+absent.  The left items ``a`` are every item, or only the sorted items
+``rows`` when given, and ``b`` runs over every item.  A chunk covers a
+run of left items and every partner of each, so per-pair facts may be
+accumulated across chunks.  Each count is taken on one of two paths:
+the dense one when the left items' pairs fill more than one chunk and
+cost more operations than the product (``PAIR_COST``), the sparse one
+otherwise.
 
 * sparse: for each of its groups (the vertices of an edge, or the edges
-  of a vertex) an item emits one pair per group member, and
-  ``np.unique`` sums the repeats; ``Σ group size²`` pairs in all;
-* dense: 0/1 float blocks of the matrix are multiplied; ``rows² · cols``
-  multiply-adds in all.
+  of a vertex) a left item emits one pair per group member, and
+  ``np.unique`` sums the repeats; ``Σ group size²`` pairs when every
+  item is a left item;
+* dense: 0/1 float blocks of the matrix are multiplied, a block of left
+  items against all items; ``left · items · groups`` multiply-adds in all.
 
 One chunk holds at most ``BLOCK_CELLS`` pairs or dense cells; only an
 item whose own pairs are more (never more than the matrix has set bits)
 makes a larger sparse chunk.  The temporaries are therefore bounded
-whatever the density, and no dense ``rows × rows`` or ``rows × cols``
+whatever the density, and no dense ``left × items`` or ``items × groups``
 array is held unless it fits in one block.
 """
 
@@ -39,32 +42,45 @@ import numpy as np
 from .instance import Hypergraph
 
 
-# Pairs or matrix cells that one chunk of pairwise counts may hold: a
-# chunk here, or a candidates × alive slice of the sequential engine's
-# count matrices.  Bounds both engines' temporaries whatever the instance.
+# Pairs or matrix cells that one chunk of pairwise counts may hold.  Both
+# engines read their counts only chunk by chunk, so this bounds their
+# temporaries whatever the instance.
 BLOCK_CELLS = 1 << 14
 # One sparse pair costs about as much as this many multiply-adds of the
 # dense product; only chooses the faster path, both give the same counts.
 PAIR_COST = 64
 
 
-def _sparse_counts(own_ptr, own, group_ptr, group):
+def _take_rows(ptr, members, rows):
+    """The compressed lists ``(ptr, members)`` cut down to the sorted rows ``rows``."""
+    sizes = ptr[rows + 1] - ptr[rows]
+    sub_ptr = np.zeros(rows.size + 1, dtype=np.intp)
+    np.cumsum(sizes, out=sub_ptr[1:])
+    return sub_ptr, members[np.repeat(ptr[rows] - sub_ptr[:-1], sizes) + np.arange(sub_ptr[-1])]
+
+
+def _sparse_counts(own_ptr, own, group_ptr, group, rows=None):
     """Chunks of co-occurrence counts from pair lists.
 
     Item ``a`` belongs to the groups ``own[own_ptr[a]:own_ptr[a + 1]]``;
     group ``g`` has the members ``group[group_ptr[g]:group_ptr[g + 1]]``.
+    The left items are ``rows`` (sorted), or every item when ``None``.
     """
     count = own_ptr.size - 1
+    if rows is not None:
+        own_ptr, own = _take_rows(own_ptr, own, rows)
+    left_items = own_ptr.size - 1
     group_size = np.diff(group_ptr)
-    # emitted[a]: pairs emitted by the items before a.
+    # emitted[a]: pairs emitted by the left items before a.
     emitted = np.concatenate(([0], np.cumsum(group_size[own])))[own_ptr]
     start = 0
-    while start < count:
+    while start < left_items:
         stop = np.searchsorted(emitted, emitted[start] + BLOCK_CELLS, side="right") - 1
-        stop = min(count, max(start + 1, stop))
+        stop = min(left_items, max(start + 1, stop))
         groups = own[own_ptr[start] : own_ptr[stop]]
         sizes = group_size[groups]
-        left = np.repeat(np.repeat(np.arange(start, stop), np.diff(own_ptr[start : stop + 1])), sizes)
+        items = np.arange(start, stop) if rows is None else rows[start:stop]
+        left = np.repeat(np.repeat(items, np.diff(own_ptr[start : stop + 1])), sizes)
         # The k-th pair of an entry reads member k of that entry's group.
         offset = np.repeat(group_ptr[groups] - (np.cumsum(sizes) - sizes), sizes)
         right = group[offset + np.arange(left.size)]
@@ -73,32 +89,38 @@ def _sparse_counts(own_ptr, own, group_ptr, group):
         start = stop
 
 
-def _dense_counts(own_ptr, own, group_ptr, group):
+def _dense_counts(own_ptr, own, group_ptr, group, rows=None):
     """The same chunks as :func:`_sparse_counts`, from products of dense
-    0/1 blocks: item block × all items, summed over group slices."""
+    0/1 blocks: left item block × all items, summed over group slices."""
     count, groups = own_ptr.size - 1, group_ptr.size - 1
+    left_items = count if rows is None else rows.size
     step = max(1, BLOCK_CELLS // max(1, count))
-    for lo in range(0, count, step):
-        hi = min(count, lo + step)
+    for lo in range(0, left_items, step):
+        hi = min(left_items, lo + step)
+        items = slice(lo, hi) if rows is None else rows[lo:hi]
         counts = np.zeros((hi - lo, count))
         for g0 in range(0, groups, step):
             g1 = min(groups, g0 + step)
             part = np.zeros((count, g1 - g0))
             slot = np.repeat(np.arange(g1 - g0), np.diff(group_ptr[g0 : g1 + 1]))
             part[group[group_ptr[g0] : group_ptr[g1]], slot] = 1
-            counts += part[lo:hi] @ part.T  # exact: sums of at most `groups` ones
+            counts += part[items] @ part.T  # exact: sums of at most `groups` ones
         a, b = np.nonzero(counts)
-        yield a + lo, b, counts[a, b].astype(np.int64)
+        yield (a + lo if rows is None else items[a]), b, counts[a, b].astype(np.int64)
 
 
-def _cooccurrence(own_ptr, own, group_ptr, group):
-    """Co-occurrence chunks on the path the module docstring describes."""
+def _cooccurrence(own_ptr, own, group_ptr, group, rows=None):
+    """Co-occurrence chunks for the left items ``rows`` (every item when
+    ``None``) on the path the module docstring describes."""
     count, groups = own_ptr.size - 1, group_ptr.size - 1
-    pairs = int(np.sum(np.diff(group_ptr) ** 2))
+    if rows is None:
+        left_items, pairs = count, int(np.sum(np.diff(group_ptr) ** 2))
+    else:
+        left_items, pairs = rows.size, int(np.sum(np.diff(group_ptr)[_take_rows(own_ptr, own, rows)[1]]))
     # A product only pays for starting up BLAS when the pairs fill several chunks.
-    if pairs <= BLOCK_CELLS or pairs * PAIR_COST <= count * count * groups:
-        return _sparse_counts(own_ptr, own, group_ptr, group)
-    return _dense_counts(own_ptr, own, group_ptr, group)
+    if pairs <= BLOCK_CELLS or pairs * PAIR_COST <= left_items * count * groups:
+        return _sparse_counts(own_ptr, own, group_ptr, group, rows)
+    return _dense_counts(own_ptr, own, group_ptr, group, rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,13 +165,15 @@ class IncidenceMatrix:
         words = np.cumsum(col_alive)[self.words[keep]] - 1  # kept columns renumbered in order
         return IncidenceMatrix(indptr.size - 1, int(col_alive.sum()), indptr, words)
 
-    def edge_pairs(self):
-        """Chunks of 0-based edge pairs ``(a, b)`` with ``|a ∩ b| >= 1``, and that count."""
-        return _cooccurrence(self.indptr, self.words, *self.columns)
+    def edge_pairs(self, rows=None):
+        """Chunks of 0-based edge pairs ``(a, b)`` with ``|a ∩ b| >= 1``, and
+        that count; ``a`` only among the sorted edges ``rows`` when given."""
+        return _cooccurrence(self.indptr, self.words, *self.columns, rows)
 
-    def vertex_pairs(self):
-        """Chunks of 0-based vertex pairs ``(a, b)`` sharing at least one edge, and how many."""
-        return _cooccurrence(*self.columns, self.indptr, self.words)
+    def vertex_pairs(self, rows=None):
+        """Chunks of 0-based vertex pairs ``(a, b)`` sharing at least one edge,
+        and how many; ``a`` only among the sorted vertices ``rows`` when given."""
+        return _cooccurrence(*self.columns, self.indptr, self.words, rows)
 
 
 def incidence_matrix(h: Hypergraph) -> IncidenceMatrix:

@@ -11,14 +11,15 @@ None of them raises on infeasibility: an infeasible input comes back
 unreduced with ``report.infeasible`` set, and a run whose ``fe`` phase
 meets an unsatisfiable edge, or overdraws the budget, returns what it
 reached with the same flag.  Both engines run the edge rules (``dp`` and
-``se``) and ``md`` through the same predicates of :mod:`rules`:
+``se``) and ``md`` through the same phase bodies of :mod:`parallel`, on
+the run's one incidence matrix masked by the alive rows and columns for
+each such phase:
 
-* the parallel engine masks the run's one incidence matrix by the alive
-  rows and columns for each such phase;
-* the sequential engine keeps one :class:`sequential.ReductionState`
-  across phases and rounds, rebuilt by one pass of the same co-occurrence
-  kernel only after ``fe`` or ``lp`` deleted something (neither updates
-  its counts).
+* the parallel engine evaluates every alive item;
+* the sequential engine evaluates only the rows of its candidates, kept
+  in one :class:`sequential.ReductionState` across phases and rounds and
+  reset to every alive item after ``fe`` or ``lp`` deleted something
+  (neither queues candidates).
 
 ``lp`` scans each alive edge once per phase (:func:`rules.lp_pass`).
 """
@@ -107,7 +108,7 @@ def _reduce(h: Hypergraph, spec: PipelineSpec, report: KernelReport) -> ActiveIn
                     state = init_state(h, active)
                 dropped = seq_reduce_vertices(state) if phase == "md" else seq_reduce_edges(state, phase)
             if phase in ("fe", "lp") and dropped:
-                state = None  # neither rule updates the counts
+                state = None  # neither rule queues candidates
             report.deleted_by_rule[phase] += dropped
             deletions += dropped
             elapsed = (time.perf_counter() - phase_started) * 1e3

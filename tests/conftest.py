@@ -1,18 +1,30 @@
-"""Shared instances and independent oracles.
+"""Shared instances, independent oracles and one state check.
 
-Everything here is deliberately naive: subset enumeration, triple-loop
-counting, pairwise neighbourhood tests, recursive matching search.
-Oracles never reuse the code paths they check.
+The oracles are deliberately naive: subset enumeration, pairwise
+neighbourhood tests, recursive matching search.  Oracles never reuse the
+code paths they check.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 from itertools import combinations
 
 import pytest
 
-from mhskernel import Graph, Hypergraph, lp_rule_applicable, parse_instance, vinical_leq
+from mhskernel import (
+    Graph,
+    Hypergraph,
+    ReductionState,
+    generate_random,
+    init_state,
+    lp_rule_applicable,
+    parse_instance,
+    seq_reduce_edges,
+    seq_reduce_vertices,
+    vinical_leq,
+)
 
 # Three edges {1,2}, {2,3,4}, {2,3,5}, all demanding two hits.  The
 # canonical regression instance: vertex 3 must never be deleted by the
@@ -51,30 +63,36 @@ def brute_force_feasible(h: Hypergraph) -> bool:
     return all(len(full.intersection(e)) >= f for e, f in zip(h.edges, h.demand))
 
 
-def naive_edge_intersections(h: Hypergraph, edge_alive, vertex_alive):
-    """|e_i ∩ e_j| over alive items, by plain set arithmetic."""
-    members = [
-        {v for v in e if vertex_alive[v - 1]} if edge_alive[i] else set()
-        for i, e in enumerate(h.edges)
-    ]
-    return [
-        [len(members[i] & members[j]) if edge_alive[i] and edge_alive[j] else None
-         for j in range(h.m)]
-        for i in range(h.m)
-    ]
+def dense_nested_instance(seed: int) -> Hypergraph:
+    """A dense 300 x 300 instance on which both rules fire: every base
+    vertex is tripled (equal incidences, so md applies) and every extra
+    edge contains a base edge of the same demand (so dp applies)."""
+    base = generate_random(n=100, m=150, p=0.5, alpha=2, seed=seed)
+    tripled = [tuple(3 * v - k for v in e for k in (2, 1, 0)) for e in base.edges]
+    extra = [tuple(sorted(set(tripled[i]) | set(tripled[(i + 1) % 150]))) for i in range(150)]
+    return Hypergraph.from_edges(300, tripled + extra, list(base.demand) * 2)
 
 
-def naive_vertex_intersections(h: Hypergraph, edge_alive, vertex_alive):
-    """|E(v_i) ∩ E(v_j)| over alive items."""
-    incident = [
-        {i for i in h.vertex_edges[j] if edge_alive[i - 1]} if vertex_alive[j] else set()
-        for j in range(h.n)
-    ]
-    return [
-        [len(incident[i] & incident[j]) if vertex_alive[i] and vertex_alive[j] else None
-         for j in range(h.n)]
-        for i in range(h.n)
-    ]
+def overlay_copy(active):
+    """A copy of an ``ActiveInstance`` overlay; only the input and its
+    matrix, which no rule changes, are shared."""
+    copied = copy.copy(active)
+    copied.vertex_alive, copied.edge_alive = list(active.vertex_alive), list(active.edge_alive)
+    copied.demand = list(active.demand)
+    return copied
+
+
+def assert_candidates_sound(state) -> None:
+    """The sequential state's candidate lists miss no deletion: on copies of
+    the state, each phase deletes with the state's candidates exactly what
+    it deletes with every alive item as a candidate.  (A check of the
+    engine against itself, not an oracle: the phases are shared.)"""
+    for phase in (seq_reduce_edges, lambda s: seq_reduce_edges(s, "se"), seq_reduce_vertices):
+        narrow = ReductionState(overlay_copy(state.active), list(state.cand_edges), list(state.cand_vertices))
+        every = init_state(state.active.h, overlay_copy(state.active))
+        assert phase(narrow) == phase(every)
+        assert narrow.edge_alive == every.edge_alive
+        assert narrow.vertex_alive == every.vertex_alive
 
 
 def naive_extract(active) -> tuple[Hypergraph, list[int], list[int]]:

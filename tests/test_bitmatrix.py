@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mhskernel import Hypergraph, edges_of, generate_random, incidence_matrix, instance_size
+from mhskernel import Hypergraph, bitmatrix, edges_of, generate_random, incidence_matrix, instance_size
 
 from conftest import singletons
 
@@ -74,3 +74,44 @@ def test_restrict_rejects_col_mask_of_wrong_length(ce):
     A = incidence_matrix(ce)
     with pytest.raises(ValueError):
         A.restrict(np.ones(A.rows, dtype=bool), np.ones(A.cols + 1, dtype=bool))
+
+
+def _counts(chunks) -> dict:
+    return {(a, b): c for chunk in chunks for a, b, c in zip(*(part.tolist() for part in chunk))}
+
+
+@pytest.mark.parametrize("block", [bitmatrix.BLOCK_CELLS, 64])
+@pytest.mark.parametrize("path", ["_sparse_counts", "_dense_counts"])
+@pytest.mark.parametrize("seed, n, p", [(1, 40, 0.2), (2, 90, 0.05), (3, 60, 0.5)])
+def test_row_counts_are_the_full_counts_filtered(monkeypatch, block, path, seed, n, p):
+    A = incidence_matrix(generate_random(n=n, m=n + 7, p=p, alpha=2, seed=seed))
+    # Force one path: the other one delegates to it.  A small block makes
+    # the rows span several chunks.
+    other = "_dense_counts" if path == "_sparse_counts" else "_sparse_counts"
+    monkeypatch.setattr(bitmatrix, other, getattr(bitmatrix, path))
+    monkeypatch.setattr(bitmatrix, "BLOCK_CELLS", block)
+    rng = np.random.default_rng(seed)
+    for pairs, items in ((A.edge_pairs, A.rows), (A.vertex_pairs, A.cols)):
+        full = _counts(pairs())
+        for rows in (np.array([], dtype=np.intp), np.sort(rng.choice(items, items // 3, replace=False)),
+                     np.arange(items)):
+            chunks, left = list(pairs(rows)), set(rows.tolist())
+            counts = _counts(chunks)
+            assert counts == {(a, b): c for (a, b), c in full.items() if a in left}
+            assert sum(len(chunk[0]) for chunk in chunks) == len(counts)  # each pair in one chunk
+            if block == 64 and rows.size:
+                assert len(chunks) > 1
+
+
+def test_dense_input_counts_candidate_rows_on_the_product_path(monkeypatch):
+    A = incidence_matrix(generate_random(n=300, m=300, p=0.5, alpha=2, seed=1))
+    rows = np.arange(3, 300, 7)
+    left = set(rows.tolist())
+    full = [_counts(A.edge_pairs()), _counts(A.vertex_pairs())]
+
+    def no_pair_lists(*args):
+        raise AssertionError("dense candidate rows counted on the pair-list path")
+
+    monkeypatch.setattr(bitmatrix, "_sparse_counts", no_pair_lists)
+    for pairs, counts in zip((A.edge_pairs, A.vertex_pairs), full):
+        assert _counts(pairs(rows)) == {(a, b): c for (a, b), c in counts.items() if a in left}

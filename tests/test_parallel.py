@@ -25,7 +25,7 @@ from mhskernel import (
 from mhskernel.bitmatrix import BLOCK_CELLS, PAIR_COST, _dense_counts, _sparse_counts
 from mhskernel.cli import main
 
-from conftest import brute_force_opt, singletons
+from conftest import brute_force_opt, dense_nested_instance, singletons
 
 
 def test_edge_phase_tie_breaks_duplicates():
@@ -185,20 +185,10 @@ def test_matrix_product_path_agrees_with_popcount(seed):
     assert par_reduce_vertices(A, h.demand) == vertex_keep
 
 
-def _dense_nested_instance(seed):
-    """A dense 300 x 300 instance on which both rules fire: every base
-    vertex is tripled (equal incidences, so md applies) and every extra
-    edge contains a base edge of the same demand (so dp applies)."""
-    base = generate_random(n=100, m=150, p=0.5, alpha=2, seed=seed)
-    tripled = [tuple(3 * v - k for v in e for k in (2, 1, 0)) for e in base.edges]
-    extra = [tuple(sorted(set(tripled[i]) | set(tripled[(i + 1) % 150]))) for i in range(150)]
-    return Hypergraph.from_edges(300, tripled + extra, list(base.demand) * 2)
-
-
 def test_dense_phases_match_single_pair_reference():
     # Dense enough that the phases count on the matrix-product path, with
     # more rows and columns than one block holds.
-    h = _dense_nested_instance(seed=0)
+    h = dense_nested_instance(seed=0)
     A = incidence_matrix(h)
     assert h.m * h.m > BLOCK_CELLS and h.n * h.n > BLOCK_CELLS
     edge_pairs, vertex_pairs = (A.col_sizes ** 2).sum(), (A.row_sizes ** 2).sum()
@@ -281,6 +271,16 @@ def test_edge_phase_rejects_demand_outside_row_size():
     with pytest.raises(ValueError):
         par_reduce_edges(A, [1])
     assert par_reduce_edges(A, [2, 1]) == [True, True]
+
+
+@pytest.mark.parametrize("demand", [0, 3])
+def test_both_phases_reject_a_demand_outside_its_row(demand):
+    # Unchecked, demand 0 would let the vertex phase delete both vertices.
+    A = incidence_matrix(Hypergraph(2, ((1, 2),), (1,)))
+    for phase in (par_reduce_edges, par_reduce_vertices):
+        with pytest.raises(ValueError, match="between 1 and its row's size"):
+            phase(A, [demand])
+    assert par_reduce_vertices(A, [2]) == [True, True]
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -3,7 +3,6 @@ import random
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from mhskernel import (
@@ -18,7 +17,7 @@ from mhskernel import (
 from mhskernel import pipeline
 from mhskernel.rules import lp_pass
 
-from conftest import brute_force_opt, naive_edge_intersections, naive_vertex_intersections, singletons
+from conftest import assert_candidates_sound, brute_force_opt, singletons
 
 
 def test_spec_validation():
@@ -156,8 +155,8 @@ def phase_order_instance(seed: int) -> Hypergraph:
 @pytest.mark.parametrize("order", PHASE_ORDERS)
 @pytest.mark.parametrize("seed", range(12))
 def test_engine_equivalence_over_phase_orders(order, seed):
-    # The sequential engine carries one count state across phases and
-    # rounds; the parallel engine masks the run's matrix for every phase.
+    # The sequential engine carries its candidate lists across phases and
+    # rounds; the parallel engine evaluates every alive item in each phase.
     h = phase_order_instance(seed)
     for loop in (False, True):
         (seq, seq_report), (par, par_report) = (
@@ -171,28 +170,19 @@ def test_engine_equivalence_over_phase_orders(order, seed):
         assert seq_report.infeasible == par_report.infeasible
 
 
-def assert_counts_match_recount(state):
-    h, edge_alive, vertex_alive = state.active.h, state.edge_alive, state.vertex_alive
-    for counts, naive, alive in (
-        (state.edge_inter, naive_edge_intersections(h, edge_alive, vertex_alive), edge_alive),
-        (state.vertex_inter, naive_vertex_intersections(h, edge_alive, vertex_alive), vertex_alive),
-    ):
-        ids = [i for i, a in enumerate(alive) if a]
-        assert counts[np.ix_(ids, ids)].tolist() == [[naive[i][j] for j in ids] for i in ids]
-
-
 @pytest.mark.parametrize("order", PHASE_ORDERS)
 @pytest.mark.parametrize("seed", range(12))
 def test_sequential_counts_match_a_recount_around_every_phase(order, seed, monkeypatch):
-    # The count state lives across phases and is counted afresh after fe or
-    # lp deleted anything; a stale state would differ before the next phase.
+    # The candidate lists live across phases and restart from every alive
+    # item after fe or lp deleted anything; a stale list would miss a
+    # deletion that a phase counting every alive item's pairs makes.
     calls = []
 
     def checked(phase):
         def run(state, *args):
-            assert_counts_match_recount(state)
+            assert_candidates_sound(state)
             dropped = phase(state, *args)
-            assert_counts_match_recount(state)
+            assert_candidates_sound(state)
             calls.append(dropped)
             return dropped
         return run

@@ -22,47 +22,29 @@ from mhskernel import (
 )
 from mhskernel.rules import fe_pass, lp_pass
 from mhskernel import bitmatrix
-from mhskernel.sequential import BLOCK_CELLS
+from mhskernel.bitmatrix import BLOCK_CELLS
 
-from conftest import naive_edge_intersections, naive_vertex_intersections, singletons
-
-
-def assert_invariant(state):
-    """Alive-restricted intersection counts must equal a from-scratch recount."""
-    h = state.active.h
-    edge_oracle = naive_edge_intersections(h, state.edge_alive, state.vertex_alive)
-    for i in range(h.m):
-        for j in range(h.m):
-            if state.edge_alive[i] and state.edge_alive[j]:
-                assert state.edge_inter[i, j] == edge_oracle[i][j]
-    vertex_oracle = naive_vertex_intersections(h, state.edge_alive, state.vertex_alive)
-    for i in range(h.n):
-        for j in range(h.n):
-            if state.vertex_alive[i] and state.vertex_alive[j]:
-                assert state.vertex_inter[i, j] == vertex_oracle[i][j]
+from conftest import assert_candidates_sound, dense_nested_instance, overlay_copy, singletons
 
 
 def test_init_state_ce(ce):
     state = init_state(ce)
-    assert np.array_equal(np.diag(state.edge_inter), [2, 3, 3])
-    assert state.edge_inter[0, 1] == 1
-    assert state.edge_inter[0, 2] == 1
-    assert state.edge_inter[1, 2] == 2
     assert state.cand_edges == [1, 2, 3]
     assert state.cand_vertices == [1, 2, 3, 4, 5]
-    assert_invariant(state)
+    assert state.insertions == 8
+    assert_candidates_sound(state)
 
 
 def test_init_state_singletons():
     state = init_state(singletons(3))
-    assert np.array_equal(state.edge_inter, np.eye(3, dtype=np.int32))
-    assert np.array_equal(state.vertex_inter, np.eye(3, dtype=np.int32))
+    assert state.cand_edges == state.cand_vertices == [1, 2, 3]
+    assert seq_reduce_edges(state) == 0 and seq_reduce_vertices(state) == 0
 
 
 def test_init_state_empty():
     state = init_state(Hypergraph(0, (), ()))
-    assert state.edge_inter.shape == (0, 0)
     assert state.cand_edges == [] and state.cand_vertices == []
+    assert seq_reduce_edges(state) == 0 and seq_reduce_vertices(state) == 0
 
 
 def test_edge_step_duplicate_edges():
@@ -70,32 +52,27 @@ def test_edge_step_duplicate_edges():
     state = init_state(h)
     assert seq_reduce_edges(state) == 1
     assert state.edge_alive == [True, False]
-    assert state.vertex_inter[0, 0] == 1  # decremented from 2
-    assert 1 in state.cand_vertices
+    assert state.cand_vertices == [1, 1]  # queued again by the deleted edge
     assert state.cand_edges == []
-    assert_invariant(state)
+    assert_candidates_sound(state)
 
 
 def test_edge_step_ce_is_noop(ce):
     state = init_state(ce)
     assert seq_reduce_edges(state) == 0
     assert state.cand_edges == []
-    assert_invariant(state)
+    assert_candidates_sound(state)
 
 
 def test_edge_step_update_trace():
     h = Hypergraph.from_edges(4, [[1, 2, 3], [3, 4]], [3, 1])
     state = init_state(h)
-    before = state.vertex_inter.copy()
     assert seq_reduce_edges(state) == 1
     assert state.edge_alive == [True, False]
-    changed = before - state.vertex_inter
-    # exactly the (3,4) x (3,4) block lost one unit
-    expected = np.zeros_like(changed)
-    expected[np.ix_([2, 3], [2, 3])] = 1
-    assert np.array_equal(changed, expected)
-    assert set(state.cand_vertices) >= {3, 4}
-    assert_invariant(state)
+    # exactly the deleted edge's vertices 3 and 4 were queued
+    assert state.cand_vertices == [1, 2, 3, 4, 3, 4]
+    assert state.insertions == 6 + 2
+    assert_candidates_sound(state)
 
 
 def test_vertex_step_matches_parallel_example():
@@ -104,11 +81,11 @@ def test_vertex_step_matches_parallel_example():
     assert seq_reduce_vertices(state) == 2
     assert state.vertex_alive == [True, True, False, False]
     assert state.cand_vertices == []
-    # both edges restrict to {1, 2} once vertices 3 and 4 are gone
-    assert np.array_equal(
-        state.edge_inter[np.ix_([0, 1], [0, 1])], np.array([[2, 2], [2, 2]])
-    )
-    assert_invariant(state)
+    # both edges restrict to {1, 2} once vertices 3 and 4 are gone, and
+    # every edge that held them is queued as a superseder again
+    assert state.active.edge_members(1) == state.active.edge_members(2) == (1, 2)
+    assert state.cand_edges == [1, 2, 1, 2, 2]
+    assert_candidates_sound(state)
 
 
 def test_vertex_step_ce_with_narrowed_candidates(ce):
@@ -174,12 +151,12 @@ def test_engine_equivalence(seed):
 def test_invariant_after_every_substep(seed):
     h = generate_random(n=2 + seed % 12, m=2 + (5 * seed) % 12, p=0.45, alpha=1 + seed % 3, seed=seed)
     state = init_state(h)
-    assert_invariant(state)
+    assert_candidates_sound(state)
     while True:
         dropped = seq_reduce_edges(state)
-        assert_invariant(state)
+        assert_candidates_sound(state)
         dropped += seq_reduce_vertices(state)
-        assert_invariant(state)
+        assert_candidates_sound(state)
         if dropped == 0:
             break
 
@@ -202,7 +179,7 @@ def test_init_state_on_overlay_after_fe_or_lp(seed, rule):
         return active
 
     state = init_state(h, overlay())
-    assert_invariant(state)
+    assert_candidates_sound(state)
     assert state.cand_edges == state.active.alive_edge_ids()
     assert state.cand_vertices == [j + 1 for j in range(h.n) if state.vertex_alive[j]]
 
@@ -239,8 +216,8 @@ def test_candidate_insertions_stay_within_budget(seed):
 
 @pytest.mark.parametrize("alpha", [1, 2])
 def test_engines_agree_beyond_one_block(alpha):
-    # n*n and m*m exceed the block budget, so sequential phases span
-    # several row blocks while the parallel ones read sparse pair lists.
+    # n*n and m*m exceed the block budget, but the input is sparse: both
+    # engines read pair lists, the sequential one for its candidates only.
     n = 300
     assert n * n > BLOCK_CELLS
     h = generate_random(n=n, m=n, p=2 / n, alpha=alpha, seed=0)
@@ -270,40 +247,97 @@ def _full_edge_overlay(h):
     return active
 
 
+def _parallel_keep_vectors(active):
+    """Keep-vectors of the parallel phases on the survivors of ``active``,
+    by original 1-based id of the alive edges and vertices."""
+    sub, vertex_ids, edge_ids = active.extract()
+    matrix = incidence_matrix(sub)
+    edge_keep = dict(zip(edge_ids, par_reduce_edges(matrix, sub.demand)))
+    vertex_keep = dict(zip(vertex_ids, par_reduce_vertices(matrix, sub.demand)))
+    return edge_keep, vertex_keep
+
+
+def _assert_phases_match(h, active, edge_keep, vertex_keep):
+    """A sequential edge phase and, on a fresh state, a vertex phase on a
+    copy of the overlay ``active`` keep what the parallel phases keep."""
+    state = init_state(h, overlay_copy(active))
+    seq_reduce_edges(state)
+    assert {i: state.edge_alive[i - 1] for i in edge_keep} == edge_keep
+    state = init_state(h, overlay_copy(active))
+    seq_reduce_vertices(state)
+    assert {j: state.vertex_alive[j - 1] for j in vertex_keep} == vertex_keep
+
+
 def test_init_state_spans_several_sparse_chunks_after_fe():
     # Edge 1 is full: fe deletes it, its vertices and, with unit demands,
-    # every edge that meets it.
+    # every edge that meets it.  The sequential phases start with every
+    # survivor as a candidate, so their rows fill several sparse chunks.
     h = generate_random(n=400, m=400, p=0.025, alpha=1, seed=1)
     h = Hypergraph(h.n, h.edges, (len(h.edges[0]),) + h.demand[1:])
-    state = init_state(h, _full_edge_overlay(h))
-    sub, _, _ = state.active.extract()
-    matrix = incidence_matrix(sub)
-    assert len(list(matrix.edge_pairs())) > 1 and len(list(matrix.vertex_pairs())) > 1
-    assert not all(state.edge_alive) and not all(state.vertex_alive)
-    assert_invariant(state)
+    active = _full_edge_overlay(h)
+    matrix, vertex_ids, edge_ids = active.alive_matrix()
+    assert len(list(matrix.edge_pairs(np.arange(edge_ids.size)))) > 1
+    assert len(list(matrix.vertex_pairs(np.arange(vertex_ids.size)))) > 1
+    assert not all(active.edge_alive) and not all(active.vertex_alive)
+    edge_keep, vertex_keep = _parallel_keep_vectors(active)
+    assert not all(vertex_keep.values())
+    _assert_phases_match(h, active, edge_keep, vertex_keep)
 
 
 def test_init_state_on_dense_product_path_after_fe(monkeypatch):
-    # A full edge on two fresh vertices leads, so dead ids come first.
-    base = generate_random(n=300, m=300, p=0.5, alpha=2, seed=1)
+    # A full edge on two fresh vertices leads, so dead ids come first; both
+    # rules fire on the dense rest.
+    base = dense_nested_instance(seed=0)
     edges = ((1, 2),) + tuple(tuple(v + 2 for v in e) for e in base.edges)
     h = Hypergraph(base.n + 2, edges, (2,) + base.demand)
+    active = _full_edge_overlay(h)
+    assert active.edge_alive[0] is False and active.vertex_alive[:2] == [False, False]
+    edge_keep, vertex_keep = _parallel_keep_vectors(active)
+    assert not all(edge_keep.values()) and not all(vertex_keep.values())
 
     def no_pair_lists(*args):
         raise AssertionError("dense input counted on the pair-list path")
 
     monkeypatch.setattr(bitmatrix, "_sparse_counts", no_pair_lists)
-    state = init_state(h, _full_edge_overlay(h))
-    assert state.edge_alive[0] is False and state.vertex_alive[:2] == [False, False]
-    assert_invariant(state)
+    _assert_phases_match(h, active, edge_keep, vertex_keep)
 
 
 def test_init_state_temporaries_stay_bounded_on_dense_input():
+    # The state holds no counts; a phase's temporaries are the masked
+    # matrix and a few blocks of counts for the candidates' rows.
     h = generate_random(n=300, m=300, p=0.5, alpha=2, seed=1)
+    active = ActiveInstance(h)
+    active.matrix.columns  # cached with the run's matrix, not a phase temporary
     tracemalloc.start()
     try:
-        state = init_state(h)
+        state = init_state(h, active)
+        seq_reduce_edges(state)
+        seq_reduce_vertices(state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < state.edge_inter.nbytes + state.vertex_inter.nbytes + 400 * BLOCK_CELLS
+    assert peak < 400 * BLOCK_CELLS
+
+
+def _sparse_instance(n: int, seed: int) -> Hypergraph:
+    """Sparse α = 2 instance on n vertices and n edges, about 2.5 members
+    per edge, drawn without the per-cell loop of ``generate_random``."""
+    rng = np.random.default_rng(seed)
+    edges = [np.sort(rng.choice(n, size=max(1, rng.binomial(n, 2.5 / n)), replace=False)) + 1 for _ in range(n)]
+    return Hypergraph(n, tuple(tuple(e.tolist()) for e in edges), tuple(min(2, e.size) for e in edges))
+
+
+def test_sequential_memory_stays_within_twice_parallel_at_scale():
+    # The sequential engine keeps no counts between phases, so at scale it
+    # needs no more memory than the parallel engine, which counts every pair.
+    h = _sparse_instance(4000, seed=3)
+    peaks = []
+    for kernelize in (seq_kernelize, par_kernelize):
+        tracemalloc.start()
+        try:
+            run = kernelize(h)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert run.report.deleted_by_rule["dp"] > 0 and run.report.deleted_by_rule["md"] > 0
+    assert peaks[0] <= 2 * peaks[1], peaks
