@@ -167,12 +167,14 @@ class IncidenceMatrix:
 
     def edge_pairs(self, rows=None):
         """Chunks of 0-based edge pairs ``(a, b)`` with ``|a ∩ b| >= 1``, and
-        that count; ``a`` only among the sorted edges ``rows`` when given."""
+        that count; ``a`` only among the edges of the sorted index array
+        ``rows`` when given."""
         return _cooccurrence(self.indptr, self.words, *self.columns, rows)
 
     def vertex_pairs(self, rows=None):
         """Chunks of 0-based vertex pairs ``(a, b)`` sharing at least one edge,
-        and how many; ``a`` only among the sorted vertices ``rows`` when given."""
+        and how many; ``a`` only among the vertices of the sorted index array
+        ``rows`` when given."""
         return _cooccurrence(*self.columns, self.indptr, self.words, rows)
 
 
