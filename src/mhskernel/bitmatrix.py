@@ -15,21 +15,24 @@ absent.  The left items ``a`` are every item, or only the sorted items
 run of left items and every partner of each, so per-pair facts may be
 accumulated across chunks.  Each count is taken on one of two paths:
 the dense one when the left items' pairs fill more than one chunk and
-cost more operations than the product (``PAIR_COST``), the sparse one
-otherwise.
+outnumber its word operations (``PAIR_COST``), the sparse one otherwise.
 
 * sparse: for each of its groups (the vertices of an edge, or the edges
   of a vertex) a left item emits one pair per group member, and
   ``np.unique`` sums the repeats; ``Σ group size²`` pairs when every
   item is a left item;
-* dense: 0/1 float blocks of the matrix are multiplied, a block of left
-  items against all items; ``left · items · groups`` multiply-adds in all.
+* dense: each item's groups are packed into a bit row of 64-bit words,
+  and a block of left items' words is ANDed with every item's and the
+  common bits counted (``np.bitwise_count``); ``left · items · groups / 64``
+  word operations in all.  They run on the calling thread alone: a BLAS
+  product's worker threads would stall every call whenever another
+  process holds a core.
 
 One chunk holds at most ``BLOCK_CELLS`` pairs or dense cells; only an
 item whose own pairs are more (never more than the matrix has set bits)
 makes a larger sparse chunk.  The temporaries are therefore bounded
-whatever the density, and no dense ``left × items`` or ``items × groups``
-array is held unless it fits in one block.
+whatever the density, and no dense ``left × items`` array, nor words of
+``items × groups`` bits, is held unless it fits in one block.
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ from .instance import Hypergraph
 # engines read their counts only chunk by chunk, so this bounds their
 # temporaries whatever the instance.
 BLOCK_CELLS = 1 << 14
-# One sparse pair costs about as much as this many multiply-adds of the
-# dense product; only chooses the faster path, both give the same counts.
+# One sparse pair costs about as much as one dense word operation, which
+# covers this many groups; only chooses the faster path, both give the
+# same counts.
 PAIR_COST = 64
 
 
@@ -89,24 +93,36 @@ def _sparse_counts(own_ptr, own, group_ptr, group, rows=None):
         start = stop
 
 
+def _bit_rows(group_ptr, group, count, w0, w1):
+    """Words ``w0 .. w1 - 1`` of every item's bit row: bit ``k`` of
+    ``bits[w - w0, a]`` is set iff item ``a`` is in group ``64·w + k``."""
+    g0, g1 = 64 * w0, min(group_ptr.size - 1, 64 * w1)
+    slot = np.repeat(np.arange(g1 - g0), np.diff(group_ptr[g0 : g1 + 1]))
+    bits = np.zeros((w1 - w0, count), dtype=np.uint64)
+    bit = np.left_shift(np.uint64(1), (slot & 63).astype(np.uint64))
+    np.bitwise_or.at(bits, (slot >> 6, group[group_ptr[g0] : group_ptr[g1]]), bit)
+    return bits
+
+
 def _dense_counts(own_ptr, own, group_ptr, group, rows=None):
-    """The same chunks as :func:`_sparse_counts`, from products of dense
-    0/1 blocks: left item block × all items, summed over group slices."""
+    """The same chunks as :func:`_sparse_counts`, from bit rows: a block of
+    left items' words ANDed with every item's, and the common bits counted."""
     count, groups = own_ptr.size - 1, group_ptr.size - 1
     left_items = count if rows is None else rows.size
-    step = max(1, BLOCK_CELLS // max(1, count))
+    step = max(1, BLOCK_CELLS // max(1, count))  # left items, or words, per block
+    words = -(-groups // 64)
+    word_blocks = [(w0, min(words, w0 + step)) for w0 in range(0, words, step)]
+    # A single word block is packed once; more are packed per left block.
+    packed = [_bit_rows(group_ptr, group, count, *word_blocks[0])] if len(word_blocks) == 1 else None
     for lo in range(0, left_items, step):
         hi = min(left_items, lo + step)
         items = slice(lo, hi) if rows is None else rows[lo:hi]
-        counts = np.zeros((hi - lo, count))
-        for g0 in range(0, groups, step):
-            g1 = min(groups, g0 + step)
-            part = np.zeros((count, g1 - g0))
-            slot = np.repeat(np.arange(g1 - g0), np.diff(group_ptr[g0 : g1 + 1]))
-            part[group[group_ptr[g0] : group_ptr[g1]], slot] = 1
-            counts += part[items] @ part.T  # exact: sums of at most `groups` ones
+        counts = np.zeros((hi - lo, count), dtype=np.int64)
+        for bits in packed or (_bit_rows(group_ptr, group, count, *block) for block in word_blocks):
+            for word in bits:
+                counts += np.bitwise_count(word[items, None] & word)
         a, b = np.nonzero(counts)
-        yield (a + lo if rows is None else items[a]), b, counts[a, b].astype(np.int64)
+        yield (a + lo if rows is None else items[a]), b, counts[a, b]
 
 
 def _cooccurrence(own_ptr, own, group_ptr, group, rows=None):
@@ -117,7 +133,7 @@ def _cooccurrence(own_ptr, own, group_ptr, group, rows=None):
         left_items, pairs = count, int(np.sum(np.diff(group_ptr) ** 2))
     else:
         left_items, pairs = rows.size, int(np.sum(np.diff(group_ptr)[_take_rows(own_ptr, own, rows)[1]]))
-    # A product only pays for starting up BLAS when the pairs fill several chunks.
+    # Packing bit rows only pays when the pairs fill several chunks.
     if pairs <= BLOCK_CELLS or pairs * PAIR_COST <= left_items * count * groups:
         return _sparse_counts(own_ptr, own, group_ptr, group, rows)
     return _dense_counts(own_ptr, own, group_ptr, group, rows)

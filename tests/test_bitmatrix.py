@@ -115,3 +115,18 @@ def test_dense_input_counts_candidate_rows_on_the_product_path(monkeypatch):
     monkeypatch.setattr(bitmatrix, "_sparse_counts", no_pair_lists)
     for pairs, counts in zip((A.edge_pairs, A.vertex_pairs), full):
         assert _counts(pairs(rows)) == {(a, b): c for (a, b), c in counts.items() if a in left}
+
+
+@pytest.mark.parametrize("block", [bitmatrix.BLOCK_CELLS, 1])
+def test_dense_counts_across_word_boundaries(monkeypatch, block):
+    # Vertices 64, 65, 128 and 129 (1-based) sit on either side of the
+    # 64-bit word boundaries of an edge's bit row; a one-cell block packs
+    # every word separately.
+    h = Hypergraph(130, ((1, 64, 65, 128, 129, 130), (64, 65), (63, 64, 65, 66), (1, 128, 130), (129, 130)),
+                   (1, 1, 1, 1, 1))
+    monkeypatch.setattr(bitmatrix, "BLOCK_CELLS", block)
+    A = incidence_matrix(h)
+    edges, vertices = [set(e) for e in h.edges], [set(v) for v in h.vertex_edges]
+    for args, sets in (((A.indptr, A.words, *A.columns), edges), ((*A.columns, A.indptr, A.words), vertices)):
+        expected = {(a, b): len(sets[a] & sets[b]) for a in range(len(sets)) for b in range(len(sets))}
+        assert _counts(bitmatrix._dense_counts(*args)) == {k: c for k, c in expected.items() if c}

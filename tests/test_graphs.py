@@ -214,7 +214,7 @@ def test_parameters_match_oracles_on_dense_graph(monkeypatch):
     g = planted_dense_graph(1)
 
     def no_sparse_path(*args):
-        raise AssertionError("expected the blocked-product path")
+        raise AssertionError("expected the dense bit-row path")
 
     monkeypatch.setattr(bitmatrix, "_sparse_counts", no_sparse_path)
     nabla, diversity = dilworth_number(g), neighborhood_diversity(g)

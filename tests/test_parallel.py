@@ -167,7 +167,7 @@ def _counts(chunks):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_matrix_product_path_agrees_with_popcount(seed):
-    """The dense matrix-product counts and the sparse pair-list counts both
+    """The dense bit-row counts and the sparse pair-list counts both
     equal per-pair popcounts of the rows, and the phases equal a per-pair
     recount through the single-pair reference predicates."""
     h = generate_random(n=2 + seed % 15, m=2 + (3 * seed) % 15, p=0.5, alpha=2, seed=seed)
@@ -186,7 +186,7 @@ def test_matrix_product_path_agrees_with_popcount(seed):
 
 
 def test_dense_phases_match_single_pair_reference():
-    # Dense enough that the phases count on the matrix-product path, with
+    # Dense enough that the phases count on the bit-row path, with
     # more rows and columns than one block holds.
     h = dense_nested_instance(seed=0)
     A = incidence_matrix(h)
