@@ -63,16 +63,18 @@ def _take_rows(ptr, members, rows):
     return sub_ptr, members[np.repeat(ptr[rows] - sub_ptr[:-1], sizes) + np.arange(sub_ptr[-1])]
 
 
-def _sparse_counts(own_ptr, own, group_ptr, group, rows=None):
+def _sparse_counts(own_ptr, own, group_ptr, group, rows=None, cut=None):
     """Chunks of co-occurrence counts from pair lists.
 
     Item ``a`` belongs to the groups ``own[own_ptr[a]:own_ptr[a + 1]]``;
     group ``g`` has the members ``group[group_ptr[g]:group_ptr[g + 1]]``.
-    The left items are ``rows`` (sorted), or every item when ``None``.
+    The left items are ``rows`` (sorted), or every item when ``None``;
+    ``cut`` is ``_take_rows(own_ptr, own, rows)``, which the caller has
+    already taken to choose the path.
     """
     count = own_ptr.size - 1
     if rows is not None:
-        own_ptr, own = _take_rows(own_ptr, own, rows)
+        own_ptr, own = cut
     left_items = own_ptr.size - 1
     group_size = np.diff(group_ptr)
     # emitted[a]: pairs emitted by the left items before a.
@@ -104,9 +106,11 @@ def _bit_rows(group_ptr, group, count, w0, w1):
     return bits
 
 
-def _dense_counts(own_ptr, own, group_ptr, group, rows=None):
+def _dense_counts(own_ptr, own, group_ptr, group, rows=None, cut=None):
     """The same chunks as :func:`_sparse_counts`, from bit rows: a block of
-    left items' words ANDed with every item's, and the common bits counted."""
+    left items' words ANDed with every item's, and the common bits counted.
+    Bit rows are packed from the group lists alone, so ``cut`` goes unused;
+    both paths take the same arguments."""
     count, groups = own_ptr.size - 1, group_ptr.size - 1
     left_items = count if rows is None else rows.size
     step = max(1, BLOCK_CELLS // max(1, count))  # left items, or words, per block
@@ -129,14 +133,14 @@ def _cooccurrence(own_ptr, own, group_ptr, group, rows=None):
     """Co-occurrence chunks for the left items ``rows`` (every item when
     ``None``) on the path the module docstring describes."""
     count, groups = own_ptr.size - 1, group_ptr.size - 1
-    if rows is None:
-        left_items, pairs = count, int(np.sum(np.diff(group_ptr) ** 2))
-    else:
-        left_items, pairs = rows.size, int(np.sum(np.diff(group_ptr)[_take_rows(own_ptr, own, rows)[1]]))
+    cut = None if rows is None else _take_rows(own_ptr, own, rows)
+    left_items = count if rows is None else rows.size
+    # Each left item pairs with every member of each of its groups.
+    pairs = int(np.sum(np.diff(group_ptr)[own if rows is None else cut[1]]))
     # Packing bit rows only pays when the pairs fill several chunks.
     if pairs <= BLOCK_CELLS or pairs * PAIR_COST <= left_items * count * groups:
-        return _sparse_counts(own_ptr, own, group_ptr, group, rows)
-    return _dense_counts(own_ptr, own, group_ptr, group, rows)
+        return _sparse_counts(own_ptr, own, group_ptr, group, rows, cut)
+    return _dense_counts(own_ptr, own, group_ptr, group, rows, cut)
 
 
 @dataclass(frozen=True, eq=False)

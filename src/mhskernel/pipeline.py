@@ -13,13 +13,14 @@ meets an unsatisfiable edge, or overdraws the budget, returns what it
 reached with the same flag.  Both engines run the edge rules (``dp`` and
 ``se``) and ``md`` through the same phase bodies of :mod:`parallel`, on
 the run's one incidence matrix masked by the alive rows and columns for
-each such phase:
+each such phase, and ``fe`` reads the same masked matrix:
 
 * the parallel engine evaluates every alive item;
-* the sequential engine evaluates only the rows of its candidates, kept
-  in one :class:`sequential.ReductionState` across phases and rounds and
-  reset to every alive item after ``fe`` or ``lp`` deleted something
-  (neither queues candidates).
+* the sequential engine evaluates only the rows of its candidates, flagged
+  in id masks of one :class:`sequential.ReductionState` across phases and
+  rounds, and queues a deleted item's partners from the masked matrix;
+  the masks are reset to every alive item after ``fe`` or ``lp`` deleted
+  something (neither queues candidates).
 
 ``lp`` scans each alive edge once per phase (:func:`rules.lp_pass`).
 """

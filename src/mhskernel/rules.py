@@ -174,27 +174,32 @@ def fe_pass(active: ActiveInstance) -> RuleOutcome:
     of each alive edge holding it by one, so ``|e| - f(e)`` never changes:
     an edge that is not full at the start never becomes full.  Forcing the
     union of the full edges' members therefore reaches the fixpoint at
-    once.  Each alive edge's demand drops by the forced vertices it holds,
-    and the edges left with no demand (the full ones among them) are
-    deleted, then the forced vertices.  An edge with more demand than alive
-    vertices makes the outcome infeasible and leaves the overlay untouched.
+    once.  The pass reads the overlay's masked matrix: alive sizes are its
+    row sizes and the forced vertices the columns of its full rows.  Each
+    alive edge's demand drops by the forced vertices it holds, and the
+    edges left with no demand (the full ones among them) are deleted, then
+    the forced vertices.  An edge with more demand than alive vertices
+    makes the outcome infeasible and leaves the overlay untouched.
     """
     outcome = RuleOutcome()
-    members = {i: active.edge_members(i) for i in active.alive_edge_ids()}
-    if any(active.demand[i - 1] > len(e) for i, e in members.items()):
+    matrix, vertex_ids, edge_ids = active.alive_matrix()
+    f, size = np.asarray(active.demand, dtype=np.int64)[edge_ids], matrix.row_sizes
+    if np.any(f > size):
         outcome.infeasible = True
         return outcome
-    forced = {v for i, e in members.items() if active.demand[i - 1] == len(e) for v in e}
-    if not forced:
+    forced = np.zeros(matrix.cols, dtype=bool)
+    forced[matrix.words[np.repeat(f == size, size)]] = True
+    if not forced.any():
         return outcome
-    for i, e in members.items():
-        active.demand[i - 1] -= sum(v in forced for v in e)
-        if active.demand[i - 1] <= 0:
-            active.edge_alive[i - 1] = False
-            outcome.deleted_edges.add(i)
-    for v in forced:
-        active.vertex_alive[v - 1] = False
-    outcome.deleted_vertices = forced
+    hits = np.bincount(np.repeat(np.arange(matrix.rows), size)[forced[matrix.words]], minlength=matrix.rows)
+    for i, hit in zip(edge_ids.tolist(), hits.tolist()):
+        active.demand[i] -= hit
+    for i in edge_ids[hits >= f].tolist():
+        active.edge_alive[i] = False
+        outcome.deleted_edges.add(i + 1)
+    for v in vertex_ids[forced].tolist():
+        active.vertex_alive[v] = False
+        outcome.deleted_vertices.add(v + 1)
     return outcome
 
 

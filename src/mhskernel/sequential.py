@@ -2,24 +2,26 @@
 
 The engine's state lives across the phases of a pipeline run (see
 :mod:`pipeline`): the run's :class:`rules.ActiveInstance` plus candidate
-lists that narrow each phase's scan, the narrowing of the paper's serial
+masks that narrow each phase's scan, the narrowing of the paper's serial
 algorithm.  A phase is the parallel engine's phase restricted to the
 candidates' rows: it masks the run's incidence matrix to the alive items,
 as the parallel phase does, and runs the same phase body
 (:func:`parallel.superseded`, :func:`parallel.dominated`) with only the
 alive candidates as left items, so the co-occurrence kernel of
 :mod:`bitmatrix` counts nothing but the candidates' pairs.  It deletes
-exactly what the parallel engine's phase deletes.  Candidates:
+exactly what the parallel engine's phase deletes, and commits from the
+same masked matrix.  Candidates:
 
 * deleting an edge can only newly enable vertex domination for that edge's
-  vertices, so they are the only new vertex candidates;
+  vertices (the columns of its row), so they are the only new vertex
+  candidates;
 * deleting a vertex can only newly enable supersedence *by* the edges that
-  contained it, so those are the only new superseder candidates.
+  contained it (the rows of its column), so those are the only new
+  superseder candidates.
 
-Candidate lists may hold duplicates and dead indices (cheap insertion
-keeps the amortized accounting: each item enters once at startup plus once
-per incident deletion); phases skip dead entries.  Demands are read-only:
-a rule that changes them (``fe``) or deletes items the lists do not track
+Each item is queued once at startup plus once per incident deletion, the
+amortized accounting kept in ``insertions``.  Demands are read-only: a
+rule that changes them (``fe``) or deletes items the masks do not track
 (``fe``, ``lp``) ends the state's life, and the next state starts with
 every alive item as a candidate again.
 """
@@ -37,26 +39,18 @@ from .rules import ActiveInstance
 
 @dataclass
 class ReductionState:
-    """The alive overlay and its candidate lists.
+    """The alive overlay and its candidate masks.
 
-    Between phase calls ``cand_edges`` contains every alive edge currently
-    able to supersede another and ``cand_vertices`` every alive vertex
-    currently deletable by domination (1-based ids).  Demands are
-    read-only here.
+    Between phase calls ``cand_edges`` flags, by 0-based original id, every
+    alive edge currently able to supersede another and ``cand_vertices``
+    every alive vertex currently deletable by domination.  Phases read only
+    the flags of alive items.  Demands are read-only here.
     """
 
     active: ActiveInstance
-    cand_edges: list[int]
-    cand_vertices: list[int]
-    insertions: int = 0  # total candidate-list appends, for work accounting
-
-    @property
-    def edge_alive(self) -> list[bool]:
-        return self.active.edge_alive
-
-    @property
-    def vertex_alive(self) -> list[bool]:
-        return self.active.vertex_alive
+    cand_edges: np.ndarray
+    cand_vertices: np.ndarray
+    insertions: int = 0  # total candidates queued, for work accounting
 
 
 def init_state(h: Hypergraph, active: ActiveInstance | None = None) -> ReductionState:
@@ -65,28 +59,19 @@ def init_state(h: Hypergraph, active: ActiveInstance | None = None) -> Reduction
     delete in place."""
     if active is None:
         active = ActiveInstance(h)
-    edges = active.alive_edge_ids()
-    vertices = [j + 1 for j in range(h.n) if active.vertex_alive[j]]
-    return ReductionState(active, edges, vertices, len(edges) + len(vertices))
+    edges, vertices = np.array(active.edge_alive, dtype=bool), np.array(active.vertex_alive, dtype=bool)
+    return ReductionState(active, edges, vertices, int(edges.sum() + vertices.sum()))
 
 
-def _rows(ids: np.ndarray, queue: list[int], size: int) -> np.ndarray:
-    """The indices into ``ids``, the sorted 0-based ids (out of ``size``)
-    of a masked matrix's edges or vertices, whose item is on the 1-based
-    candidate list ``queue``."""
-    queued = np.zeros(size, dtype=bool)
-    queued[np.asarray(queue, dtype=np.intp) - 1] = True
-    return np.flatnonzero(queued[ids])
-
-
-def _commit(state: ReductionState, doomed: list[int], alive: list[bool], partners, queue: list[int]) -> None:
-    """Mark the 1-based items ``doomed`` dead in ``alive``; each item's
-    alive ``partners`` (an edge's vertices, a vertex's edges) join ``queue``."""
-    for k in doomed:
-        alive[k - 1] = False
-        members = partners(k)
-        queue.extend(members)
-        state.insertions += len(members)
+def _commit(state: ReductionState, doomed: np.ndarray, alive: list[bool], partners: np.ndarray, queue: np.ndarray) -> int:
+    """Mark the 0-based items ``doomed`` dead in ``alive`` and flag their
+    alive ``partners`` (one 0-based id per incidence) in the mask ``queue``;
+    returns how many items died."""
+    for k in doomed.tolist():
+        alive[k] = False
+    queue[partners] = True
+    state.insertions += partners.size
+    return doomed.size
 
 
 def seq_reduce_edges(state: ReductionState, rule: str = "dp") -> int:
@@ -100,16 +85,16 @@ def seq_reduce_edges(state: ReductionState, rule: str = "dp") -> int:
     superseder candidates.
     """
     active = state.active
-    matrix, _, edge_ids = active.alive_matrix()
+    matrix, vertex_ids, edge_ids = active.alive_matrix()
     f = np.asarray(active.demand, dtype=np.int64)[edge_ids]
-    doomed = superseded(matrix, f, rule, _rows(edge_ids, state.cand_edges, len(active.edge_alive)))
-    queued = (edge_ids[doomed] + 1).tolist()
-    _commit(state, queued, active.edge_alive, active.edge_members, state.cand_vertices)
+    doomed = superseded(matrix, f, rule, np.flatnonzero(state.cand_edges[edge_ids]))
+    members = vertex_ids[matrix.words[np.repeat(doomed, matrix.row_sizes)]]
+    deleted = _commit(state, edge_ids[doomed], active.edge_alive, members, state.cand_vertices)
     if rule == "dp":
         # An exhaustive dp phase leaves no superseding pair; an se phase
         # can leave dp superseders, since se implies dp but not conversely.
-        state.cand_edges.clear()
-    return len(queued)
+        state.cand_edges[:] = False
+    return deleted
 
 
 def seq_reduce_vertices(state: ReductionState) -> int:
@@ -124,8 +109,7 @@ def seq_reduce_vertices(state: ReductionState) -> int:
     active = state.active
     matrix, vertex_ids, edge_ids = active.alive_matrix()
     f = np.asarray(active.demand, dtype=np.int64)[edge_ids]
-    doomed = dominated(matrix, f, _rows(vertex_ids, state.cand_vertices, len(active.vertex_alive)))
-    queued = (vertex_ids[doomed] + 1).tolist()
-    _commit(state, queued, active.vertex_alive, active.vertex_incidences, state.cand_edges)
-    state.cand_vertices.clear()
-    return len(queued)
+    doomed = dominated(matrix, f, np.flatnonzero(state.cand_vertices[vertex_ids]))
+    incidences = edge_ids[matrix.columns[1][np.repeat(doomed, matrix.col_sizes)]]
+    state.cand_vertices[:] = False
+    return _commit(state, vertex_ids[doomed], active.vertex_alive, incidences, state.cand_edges)

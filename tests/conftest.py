@@ -83,16 +83,16 @@ def overlay_copy(active):
 
 
 def assert_candidates_sound(state) -> None:
-    """The sequential state's candidate lists miss no deletion: on copies of
+    """The sequential state's candidate masks miss no deletion: on copies of
     the state, each phase deletes with the state's candidates exactly what
     it deletes with every alive item as a candidate.  (A check of the
     engine against itself, not an oracle: the phases are shared.)"""
     for phase in (seq_reduce_edges, lambda s: seq_reduce_edges(s, "se"), seq_reduce_vertices):
-        narrow = ReductionState(overlay_copy(state.active), list(state.cand_edges), list(state.cand_vertices))
+        narrow = ReductionState(overlay_copy(state.active), state.cand_edges.copy(), state.cand_vertices.copy())
         every = init_state(state.active.h, overlay_copy(state.active))
         assert phase(narrow) == phase(every)
-        assert narrow.edge_alive == every.edge_alive
-        assert narrow.vertex_alive == every.vertex_alive
+        assert narrow.active.edge_alive == every.active.edge_alive
+        assert narrow.active.vertex_alive == every.active.vertex_alive
 
 
 def naive_extract(active) -> tuple[Hypergraph, list[int], list[int]]:

@@ -205,7 +205,7 @@ def test_criterion_8_parameter_family():
 
 
 def test_criterion_9_incremental_state_soundness():
-    with verdict("criterion 9 (candidate lists miss no deletion of a full recount, 100 runs)"):
+    with verdict("criterion 9 (candidate masks miss no deletion of a full recount, 100 runs)"):
         for seed in range(100):
             h = generate_random(
                 n=1 + (5 * seed) % 14,

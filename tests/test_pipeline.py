@@ -15,7 +15,7 @@ from mhskernel import (
     solve_opt,
 )
 from mhskernel import pipeline
-from mhskernel.rules import lp_pass
+from mhskernel.rules import ActiveInstance, lp_pass
 
 from conftest import assert_candidates_sound, brute_force_opt, singletons
 
@@ -155,7 +155,7 @@ def phase_order_instance(seed: int) -> Hypergraph:
 @pytest.mark.parametrize("order", PHASE_ORDERS)
 @pytest.mark.parametrize("seed", range(12))
 def test_engine_equivalence_over_phase_orders(order, seed):
-    # The sequential engine carries its candidate lists across phases and
+    # The sequential engine carries its candidate masks across phases and
     # rounds; the parallel engine evaluates every alive item in each phase.
     h = phase_order_instance(seed)
     for loop in (False, True):
@@ -173,8 +173,8 @@ def test_engine_equivalence_over_phase_orders(order, seed):
 @pytest.mark.parametrize("order", PHASE_ORDERS)
 @pytest.mark.parametrize("seed", range(12))
 def test_sequential_counts_match_a_recount_around_every_phase(order, seed, monkeypatch):
-    # The candidate lists live across phases and restart from every alive
-    # item after fe or lp deleted anything; a stale list would miss a
+    # The candidate masks live across phases and restart from every alive
+    # item after fe or lp deleted anything; a stale mask would miss a
     # deletion that a phase counting every alive item's pairs makes.
     calls = []
 
@@ -192,6 +192,32 @@ def test_sequential_counts_match_a_recount_around_every_phase(order, seed, monke
     for loop in (False, True):
         run_pipeline(phase_order_instance(seed), PipelineSpec(tuple(order.split(",")), loop=loop, lp_oracle="pushed-max"))
     assert calls
+
+
+@pytest.mark.parametrize("engine", ["sequential", "parallel"])
+def test_phases_read_the_overlay_through_its_masked_matrix(engine, monkeypatch):
+    # fe, dp, se and md, and the sequential commits, read alive contents
+    # only from the masked matrix, never through the per-item tuple readers.
+    # lp is left out: its single-edge reference builder reads tuples.  se
+    # deletes nothing right after dp, so it also runs first.
+    orders = (("fe", "dp", "se", "md"), ("se", "fe", "dp", "md"))
+    specs = [PipelineSpec(order, engine=engine, loop=True) for order in orders]
+
+    def runs():
+        for seed in range(40):
+            for spec in specs:
+                reduced, report = run_pipeline(phase_order_instance(seed), spec)
+                yield reduced, {k: v for k, v in report.to_dict().items() if k != "wall_times_ms"}
+
+    expected = list(runs())
+    assert all(sum(report["deleted_by_rule"][rule] for _, report in expected) for rule in ("fe", "dp", "se", "md"))
+
+    def no_tuples(*args):
+        raise AssertionError("alive contents read through a tuple reader")
+
+    monkeypatch.setattr(ActiveInstance, "edge_members", no_tuples)
+    monkeypatch.setattr(ActiveInstance, "vertex_incidences", no_tuples)
+    assert list(runs()) == expected
 
 
 @pytest.mark.parametrize("engine", ["sequential", "parallel"])

@@ -27,23 +27,28 @@ from mhskernel.bitmatrix import BLOCK_CELLS
 from conftest import assert_candidates_sound, dense_nested_instance, overlay_copy, singletons
 
 
+def _flagged(mask) -> list[int]:
+    """The 1-based ids a candidate mask flags."""
+    return (np.flatnonzero(mask) + 1).tolist()
+
+
 def test_init_state_ce(ce):
     state = init_state(ce)
-    assert state.cand_edges == [1, 2, 3]
-    assert state.cand_vertices == [1, 2, 3, 4, 5]
+    assert _flagged(state.cand_edges) == [1, 2, 3]
+    assert _flagged(state.cand_vertices) == [1, 2, 3, 4, 5]
     assert state.insertions == 8
     assert_candidates_sound(state)
 
 
 def test_init_state_singletons():
     state = init_state(singletons(3))
-    assert state.cand_edges == state.cand_vertices == [1, 2, 3]
+    assert _flagged(state.cand_edges) == _flagged(state.cand_vertices) == [1, 2, 3]
     assert seq_reduce_edges(state) == 0 and seq_reduce_vertices(state) == 0
 
 
 def test_init_state_empty():
     state = init_state(Hypergraph(0, (), ()))
-    assert state.cand_edges == [] and state.cand_vertices == []
+    assert state.cand_edges.shape == state.cand_vertices.shape == (0,)
     assert seq_reduce_edges(state) == 0 and seq_reduce_vertices(state) == 0
 
 
@@ -51,26 +56,28 @@ def test_edge_step_duplicate_edges():
     h = Hypergraph(1, ((1,), (1,)), (1, 1))
     state = init_state(h)
     assert seq_reduce_edges(state) == 1
-    assert state.edge_alive == [True, False]
-    assert state.cand_vertices == [1, 1]  # queued again by the deleted edge
-    assert state.cand_edges == []
+    assert state.active.edge_alive == [True, False]
+    assert _flagged(state.cand_vertices) == [1]
+    assert state.insertions == 3 + 1  # queued again by the deleted edge
+    assert not state.cand_edges.any()
     assert_candidates_sound(state)
 
 
 def test_edge_step_ce_is_noop(ce):
     state = init_state(ce)
     assert seq_reduce_edges(state) == 0
-    assert state.cand_edges == []
+    assert not state.cand_edges.any()
     assert_candidates_sound(state)
 
 
 def test_edge_step_update_trace():
     h = Hypergraph.from_edges(4, [[1, 2, 3], [3, 4]], [3, 1])
     state = init_state(h)
+    state.cand_vertices[:] = False
     assert seq_reduce_edges(state) == 1
-    assert state.edge_alive == [True, False]
+    assert state.active.edge_alive == [True, False]
     # exactly the deleted edge's vertices 3 and 4 were queued
-    assert state.cand_vertices == [1, 2, 3, 4, 3, 4]
+    assert _flagged(state.cand_vertices) == [3, 4]
     assert state.insertions == 6 + 2
     assert_candidates_sound(state)
 
@@ -78,30 +85,34 @@ def test_edge_step_update_trace():
 def test_vertex_step_matches_parallel_example():
     h = Hypergraph.from_edges(4, [[1, 2, 3], [1, 2, 3, 4]], [2, 2])
     state = init_state(h)
+    state.cand_edges[:] = False
     assert seq_reduce_vertices(state) == 2
-    assert state.vertex_alive == [True, True, False, False]
-    assert state.cand_vertices == []
+    assert state.active.vertex_alive == [True, True, False, False]
+    assert not state.cand_vertices.any()
     # both edges restrict to {1, 2} once vertices 3 and 4 are gone, and
-    # every edge that held them is queued as a superseder again
+    # every edge that held them (1 and 2 for vertex 3, 2 for vertex 4) is
+    # queued as a superseder again
     assert state.active.edge_members(1) == state.active.edge_members(2) == (1, 2)
-    assert state.cand_edges == [1, 2, 1, 2, 2]
+    assert _flagged(state.cand_edges) == [1, 2]
+    assert state.insertions == 6 + 3
     assert_candidates_sound(state)
 
 
 def test_vertex_step_ce_with_narrowed_candidates(ce):
     state = init_state(ce)
-    state.cand_vertices = [3]
+    state.cand_vertices[:] = False
+    state.cand_vertices[2] = True
     assert seq_reduce_vertices(state) == 0
-    assert state.vertex_alive == [True] * 5
+    assert state.active.vertex_alive == [True] * 5
 
 
 def test_vertex_step_orphan():
     h = Hypergraph(2, ((1,), (1,)), (1, 1))
     state = init_state(h)
     seq_reduce_edges(state)  # deletes the duplicate edge
-    state.cand_vertices.append(2)
+    state.cand_vertices[1] = True
     assert seq_reduce_vertices(state) == 1  # vertex 2 is in no edge at all
-    assert state.vertex_alive == [True, False]
+    assert state.active.vertex_alive == [True, False]
 
 
 def test_kernelize_fixpoints(ce):
@@ -180,16 +191,16 @@ def test_init_state_on_overlay_after_fe_or_lp(seed, rule):
 
     state = init_state(h, overlay())
     assert_candidates_sound(state)
-    assert state.cand_edges == state.active.alive_edge_ids()
-    assert state.cand_vertices == [j + 1 for j in range(h.n) if state.vertex_alive[j]]
+    assert state.cand_edges.tolist() == state.active.edge_alive
+    assert state.cand_vertices.tolist() == state.active.vertex_alive
 
     sub, vertex_ids, edge_ids = state.active.extract()
     seq_reduce_edges(state)
-    assert [state.edge_alive[i - 1] for i in edge_ids] == par_reduce_edges(incidence_matrix(sub), sub.demand)
+    assert [state.active.edge_alive[i - 1] for i in edge_ids] == par_reduce_edges(incidence_matrix(sub), sub.demand)
 
     state = init_state(h, overlay())
     seq_reduce_vertices(state)
-    assert [state.vertex_alive[j - 1] for j in vertex_ids] == par_reduce_vertices(incidence_matrix(sub), sub.demand)
+    assert [state.active.vertex_alive[j - 1] for j in vertex_ids] == par_reduce_vertices(incidence_matrix(sub), sub.demand)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -204,7 +215,7 @@ def test_idempotent(seed):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_candidate_insertions_stay_within_budget(seed):
-    # each index enters a candidate list once at startup and at most once
+    # each index is queued once at startup and at most once
     # per incident deletion
     h = generate_random(n=2 + seed % 15, m=2 + (3 * seed) % 15, p=0.4, alpha=1 + seed % 3, seed=seed)
     state = init_state(h)
@@ -229,7 +240,7 @@ def test_engines_agree_beyond_one_block(alpha):
 
     state = init_state(h)
     assert seq_reduce_edges(state, "se") > 0
-    assert state.edge_alive == par_reduce_edges(incidence_matrix(h), h.demand, rule="se")
+    assert state.active.edge_alive == par_reduce_edges(incidence_matrix(h), h.demand, rule="se")
 
     survivors = ActiveInstance(seq.hypergraph)
     for i in range(1, seq.hypergraph.m + 1):
@@ -262,10 +273,10 @@ def _assert_phases_match(h, active, edge_keep, vertex_keep):
     copy of the overlay ``active`` keep what the parallel phases keep."""
     state = init_state(h, overlay_copy(active))
     seq_reduce_edges(state)
-    assert {i: state.edge_alive[i - 1] for i in edge_keep} == edge_keep
+    assert {i: state.active.edge_alive[i - 1] for i in edge_keep} == edge_keep
     state = init_state(h, overlay_copy(active))
     seq_reduce_vertices(state)
-    assert {j: state.vertex_alive[j - 1] for j in vertex_keep} == vertex_keep
+    assert {j: state.active.vertex_alive[j - 1] for j in vertex_keep} == vertex_keep
 
 
 def test_init_state_spans_several_sparse_chunks_after_fe():
