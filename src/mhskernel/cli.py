@@ -10,8 +10,9 @@ import json
 import sys
 
 from .generate import generate_random, ingest_response_matrix
+from .graphparams import STATS, compute_stats
 from .instance import InstanceError, parse_instance, serialize_instance
-from .pipeline import PipelineSpec, compute_stats, run_pipeline
+from .pipeline import LP_ORACLES, PHASES, PipelineSpec, run_pipeline
 from .solver import DEFAULT_NODE_LIMIT, SolveStatus, solve_opt
 
 EXIT_OK = 0
@@ -20,20 +21,24 @@ EXIT_INPUT = 2
 EXIT_LIMIT = 3
 
 
-def _read_instance(path: str):
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        return fh.read()
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _emit(path: str | None, text: str) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_reduce(args) -> int:
     if args.workers < 1:
         raise ValueError("worker count must be positive")
-    h = _read_instance(args.input)
+    h = parse_instance(_read(args.input))
     phases = tuple(p.strip() for p in args.rules.split(",") if p.strip())
     spec = PipelineSpec(
         phases=phases,
@@ -43,16 +48,13 @@ def _cmd_reduce(args) -> int:
     )
     reduced, report = run_pipeline(h, spec, compute_bounds=args.bounds)
     if args.output:
-        _write_text(args.output, serialize_instance(reduced))
-    if args.report:
-        _write_text(args.report, report.to_json() + "\n")
-    else:
-        print(report.to_json())
+        _emit(args.output, serialize_instance(reduced))
+    _emit(args.report, report.to_json() + "\n")
     return EXIT_INFEASIBLE if report.infeasible else EXIT_OK
 
 
 def _cmd_solve(args) -> int:
-    h = _read_instance(args.input)
+    h = parse_instance(_read(args.input))
     solution = solve_opt(h, node_limit=args.node_limit)
     print(json.dumps({
         "status": solution.status.value,
@@ -68,42 +70,21 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    h = _read_instance(args.input)
-    which = {
-        name
-        for name, wanted in (
-            ("dilworth", args.dilworth),
-            ("diversity", args.diversity),
-            ("matching", args.matching),
-            ("size", args.size),
-        )
-        if wanted
-    }
-    if not which:
-        which = {"dilworth", "diversity", "matching", "size"}
+    h = parse_instance(_read(args.input))
+    which = {name for name in STATS if getattr(args, name)} or set(STATS)
     print(json.dumps(compute_stats(h, which), indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_gen(args) -> int:
     h = generate_random(args.n, args.m, args.p, args.alpha, args.seed)
-    text = serialize_instance(h)
-    if args.output:
-        _write_text(args.output, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.output, serialize_instance(h))
     return EXIT_OK
 
 
 def _cmd_ingest(args) -> int:
-    with open(args.csv, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    h = ingest_response_matrix(text, sigmas=args.sigmas, alpha=args.alpha, direction=args.direction)
-    out = serialize_instance(h)
-    if args.output:
-        _write_text(args.output, out)
-    else:
-        sys.stdout.write(out)
+    h = ingest_response_matrix(_read(args.csv), sigmas=args.sigmas, alpha=args.alpha, direction=args.direction)
+    _emit(args.output, serialize_instance(h))
     return EXIT_OK
 
 
@@ -117,12 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="run a reduction pipeline")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", help="write the reduced instance here")
-    p.add_argument("--rules", default="dp,md", help="comma-separated phases from fe,dp,se,md,lp")
+    p.add_argument("--rules", default="dp,md", help=f"comma-separated phases from {','.join(PHASES)}")
     p.add_argument("--engine", choices=("seq", "par"), default="seq")
     p.add_argument("--loop", action="store_true", help="repeat the phase list until nothing changes")
     p.add_argument("--report", help="write the JSON report here (default: stdout)")
     p.add_argument("--bounds", action="store_true", help="also compute the size/iteration bounds")
-    p.add_argument("--lp-oracle", choices=("exact", "pushed-max"), default="exact")
+    p.add_argument("--lp-oracle", choices=tuple(LP_ORACLES), default="exact")
     p.add_argument("--workers", type=int, default=1, help="accepted for compatibility and ignored; must be positive")
     p.set_defaults(func=_cmd_reduce)
 
@@ -133,10 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="incidence-graph parameters")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--dilworth", action="store_true")
-    p.add_argument("--diversity", action="store_true")
-    p.add_argument("--matching", action="store_true")
-    p.add_argument("--size", action="store_true")
+    for name in STATS:
+        p.add_argument(f"--{name}", action="store_true")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("gen", help="generate a seeded random instance")

@@ -78,8 +78,9 @@ def ingest_response_matrix(
     direction.  Rows thresholding to an empty edge are dropped with a
     warning (a constant row always is: its deviation is zero).  Demands
     follow ``min(alpha, |e|)``.  A NaN or infinite cell raises
-    ``ValueError`` naming its row and column, and a NaN or infinite
-    ``sigmas`` raises ``ValueError`` naming the value.
+    ``ValueError`` naming its row and column, a row whose mean or standard
+    deviation overflows a float raises ``ValueError`` naming the row, and
+    a NaN or infinite ``sigmas`` raises ``ValueError`` naming the value.
     """
     if direction not in ("above", "below"):
         raise ValueError(f"direction must be 'above' or 'below', got {direction!r}")
@@ -93,7 +94,13 @@ def ingest_response_matrix(
     demand = []
     for row_no, values in enumerate(rows, start=1):
         mean = sum(values) / len(values)
-        sigma = math.sqrt(sum((x - mean) ** 2 for x in values) / len(values))
+        # Finite cells can still overflow: a square raises, a sum turns infinite.
+        try:
+            sigma = math.sqrt(sum((x - mean) ** 2 for x in values) / len(values))
+        except OverflowError:
+            sigma = math.inf
+        if math.isinf(sigma):
+            raise ValueError(f"row {row_no}: the spread of its cells overflows a float")
         if direction == "above":
             members = [j + 1 for j, x in enumerate(values) if x > mean + sigmas * sigma]
         else:

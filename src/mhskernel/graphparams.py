@@ -28,6 +28,8 @@ import numpy as np
 from .bitmatrix import IncidenceMatrix
 from .instance import Hypergraph, instance_size
 
+STATS = ("dilworth", "diversity", "matching", "size")
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -215,12 +217,11 @@ def matching_number(g: Graph) -> int:
 def compute_stats(h: Hypergraph, which: set[str]) -> dict[str, int]:
     """Requested parameters of the instance's incidence graph, built once.
 
-    ``which`` is a subset of {"dilworth", "diversity", "matching", "size"}.
+    ``which`` is a subset of :data:`STATS`.
     """
-    known = {"dilworth", "diversity", "matching", "size"}
-    unknown = which - known
+    unknown = which - set(STATS)
     if unknown:
-        raise ValueError(f"unknown stats {sorted(unknown)}; expected subset of {sorted(known)}")
+        raise ValueError(f"unknown stats {sorted(unknown)}; expected subset of {sorted(STATS)}")
     out: dict[str, int] = {}
     if "size" in which:
         out["size"] = instance_size(h)

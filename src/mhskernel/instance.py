@@ -14,6 +14,7 @@ File format (line oriented, ``#`` starts a comment line)::
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -132,6 +133,8 @@ def parse_instance(text: str) -> Hypergraph:
                 raise InstanceError("non-integer field in header", line_no) from None
             if n < 0 or m < 0:
                 raise InstanceError("vertex/edge counts must be non-negative", line_no)
+            if n > sys.maxsize:
+                raise InstanceError(f"vertex count must be at most {sys.maxsize}", line_no)
             if k is not None and k < 0:
                 raise InstanceError("budget must be non-negative", line_no)
             header = (n, m, k)

@@ -6,7 +6,8 @@ whole pass deletes nothing.  :func:`_reduce` is the only reduction loop;
 every phase order and both engines run through it on one
 :class:`rules.ActiveInstance`, and :func:`_run` is the only path that
 finishes a run: :func:`run_pipeline` returns its hypergraph and report,
-and :func:`seq_kernelize` and :func:`par_kernelize` are fixed specs of it.
+and :func:`seq_kernelize` and :func:`par_kernelize` (each taking only the
+instance) are its ``dp,md`` fixpoint on one engine each.
 None of them raises on infeasibility: an infeasible input comes back
 unreduced with ``report.infeasible`` set, and a run whose ``fe`` phase
 meets an unsatisfiable edge, or overdraws the budget, returns what it
@@ -35,11 +36,11 @@ import numpy as np
 from .graphparams import compute_stats
 from .instance import Hypergraph, instance_size, validate_feasibility
 from .parallel import par_reduce_edges, par_reduce_vertices
-from .report import KernelReport, KernelRun
+from .report import RULE_KEYS, KernelReport, KernelRun
 from .rules import ActiveInstance, exact_oracle, fe_pass, lp_pass, pushed_max_oracle
 from .sequential import init_state, seq_reduce_edges, seq_reduce_vertices
 
-PHASES = ("fe", "dp", "se", "md", "lp")
+PHASES = RULE_KEYS
 ENGINES = ("sequential", "parallel")
 LP_ORACLES = {"exact": exact_oracle, "pushed-max": pushed_max_oracle}
 
@@ -166,10 +167,9 @@ def seq_kernelize(h: Hypergraph) -> KernelRun:
     return _run(h, PipelineSpec(("dp", "md"), loop=True))
 
 
-def par_kernelize(h: Hypergraph, *, rule: str = "dp") -> KernelRun:
-    """The ``rule,md`` fixpoint (``rule`` is ``"dp"`` or ``"se"``) on the
-    parallel engine.  An infeasible instance comes back unreduced with
-    ``report.infeasible`` set; an unknown ``rule`` raises ``ValueError``."""
-    if rule not in ("dp", "se"):
-        raise ValueError(f"unknown edge rule {rule!r}")
-    return _run(h, PipelineSpec((rule, "md"), engine="parallel", loop=True))
+def par_kernelize(h: Hypergraph) -> KernelRun:
+    """The ``dp,md`` fixpoint on the parallel engine.  An infeasible
+    instance comes back unreduced with ``report.infeasible`` set.  Output
+    matches :func:`seq_kernelize` exactly; other phase orders, such as the
+    ``se,md`` fixpoint, run through :func:`run_pipeline`."""
+    return _run(h, PipelineSpec(("dp", "md"), engine="parallel", loop=True))

@@ -110,6 +110,14 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert main(["solve", "-i", str(tmp_path / "missing.mhs")]) == 2
 
 
+@pytest.mark.parametrize("command", ["reduce", "solve"])
+def test_vertex_count_beyond_any_index_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "huge.mhs"
+    path.write_text("p mhs 18446744073709551616 0\n")
+    assert main([command, "-i", str(path)]) == 2
+    assert f"line 1: vertex count must be at most {sys.maxsize}" in capsys.readouterr().err
+
+
 def test_stats_command(ce_file, capsys):
     assert main(["stats", "-i", ce_file, "--matching", "--size"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -137,6 +145,15 @@ def test_ingest_rejects_non_finite_cells(tmp_path, capsys):
     out = tmp_path / "ingested.mhs"
     assert main(["ingest", "--csv", str(csv), "-o", str(out)]) == 2
     assert "row 2, column 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ingest_rejects_overflowing_cells(tmp_path, capsys):
+    csv = tmp_path / "responses.csv"
+    csv.write_text("1e200,0,1\n1,2,3\n")
+    out = tmp_path / "ingested.mhs"
+    assert main(["ingest", "--csv", str(csv), "-o", str(out)]) == 2
+    assert "row 1: the spread of its cells overflows a float" in capsys.readouterr().err
     assert not out.exists()
 
 

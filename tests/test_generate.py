@@ -94,6 +94,13 @@ class TestIngest:
         with pytest.raises(ValueError, match=f"sigmas must be finite, got {sigmas}"):
             ingest_response_matrix("1,2,3,4,50\n", sigmas=sigmas)
 
+    @pytest.mark.parametrize("row", ["1e200,0,1", "1e308,1e308,0", "1.2e154,-1.2e154,0"])
+    def test_overflowing_spread_rejected(self, row):
+        # Finite cells whose squared deviation, sum or sum of squares leaves
+        # the float range.
+        with pytest.raises(ValueError, match="row 2: the spread of its cells overflows a float"):
+            ingest_response_matrix(f"1,2,3\n{row}\n")
+
     @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "-Infinity"])
     def test_non_finite_cell_rejected(self, cell):
         # A NaN row mean would otherwise drop the row as "empty" with no error.

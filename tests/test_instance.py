@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,12 +53,17 @@ def test_parse_budget_and_comments():
         ("p mhs 2 x\ne 1 1", 1),  # non-integer header
         ("p mhs 2 1\nz 1 1", 2),  # unknown line type
         ("p mhs 2 1\ne 1 q", 2),  # non-integer vertex
+        ("p mhs 18446744073709551616 0", 1),  # vertex count beyond any index
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(InstanceError) as err:
         parse_instance(text)
     assert err.value.line_no == line
+
+
+def test_parse_accepts_the_largest_index_as_vertex_count():
+    assert parse_instance(f"p mhs {sys.maxsize} 0").n == sys.maxsize
 
 
 def test_parse_edge_count_mismatch():
