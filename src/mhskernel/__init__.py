@@ -9,14 +9,11 @@ round count, and an exact branch-and-bound solver for ground truth.
 from .bitmatrix import IncidenceMatrix, incidence_matrix
 from .generate import generate_random, ingest_response_matrix
 from .graphparams import (
-    Graph,
     compute_stats,
     dilworth_number,
-    incidence_graph,
     kernel_bound,
     matching_number,
     neighborhood_diversity,
-    vinical_leq,
 )
 from .instance import (
     FeasibilityReport,
@@ -48,7 +45,6 @@ from .solver import Solution, SolveStatus, solve_opt, verify_solution
 __all__ = [
     "ActiveInstance",
     "FeasibilityReport",
-    "Graph",
     "Hypergraph",
     "IncidenceMatrix",
     "InstanceError",
@@ -66,7 +62,6 @@ __all__ = [
     "edges_of",
     "exact_oracle",
     "generate_random",
-    "incidence_graph",
     "incidence_matrix",
     "ingest_response_matrix",
     "init_state",
@@ -90,7 +85,6 @@ __all__ = [
     "supersedes",
     "validate_feasibility",
     "verify_solution",
-    "vinical_leq",
 ]
 
 __version__ = "0.1.0"

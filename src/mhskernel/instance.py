@@ -51,6 +51,8 @@ class Hypergraph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
+        if self.n > sys.maxsize:
+            raise ValueError(f"vertex count must be at most {sys.maxsize}")
         if len(self.edges) != len(self.demand):
             raise ValueError("one demand per edge required")
         for idx, (members, f) in enumerate(zip(self.edges, self.demand), start=1):

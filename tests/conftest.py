@@ -2,19 +2,21 @@
 
 The oracles are deliberately naive: subset enumeration, pairwise
 neighbourhood tests, recursive matching search.  Oracles never reuse the
-code paths they check.
+code paths they check.  The graph parameters are checked on an explicit
+incidence graph of frozenset neighbourhoods (``Graph``), which the
+library itself never builds.
 """
 
 from __future__ import annotations
 
 import copy
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
 import pytest
 
 from mhskernel import (
-    Graph,
     Hypergraph,
     ReductionState,
     generate_random,
@@ -23,7 +25,6 @@ from mhskernel import (
     parse_instance,
     seq_reduce_edges,
     seq_reduce_vertices,
-    vinical_leq,
 )
 
 # Three edges {1,2}, {2,3,4}, {2,3,5}, all demanding two hits.  The
@@ -151,6 +152,53 @@ def fixpoint_fe(active) -> tuple[set[int], set[int], bool]:
                 deleted_edges.add(i)
 
 
+@dataclass(frozen=True)
+class Graph:
+    """Simple undirected graph on nodes ``0..num_nodes-1``."""
+
+    adj: tuple[frozenset[int], ...]
+
+    @classmethod
+    def from_edges(cls, num_nodes: int, edges) -> "Graph":
+        sets: list[set[int]] = [set() for _ in range(num_nodes)]
+        for u, v in edges:
+            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+                raise IndexError(f"edge ({u}, {v}) has a node out of range 0..{num_nodes - 1}")
+            if u == v:
+                raise ValueError(f"self-loop at node {u}")
+            sets[u].add(v)
+            sets[v].add(u)
+        return cls(tuple(frozenset(s) for s in sets))
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.adj)
+
+    @property
+    def num_edges(self) -> int:
+        return sum(len(s) for s in self.adj) // 2
+
+
+def incidence_graph(h: Hypergraph) -> Graph:
+    """Bipartite incidence graph of a hypergraph.
+
+    Vertex ``j`` of the hypergraph becomes node ``j-1``; edge ``i`` becomes
+    node ``n + i - 1``.  An edge-side node is adjacent exactly to the
+    vertices the hyperedge contains.
+    """
+    vertex_side = (frozenset(h.n + i - 1 for i in incident) for incident in h.vertex_edges)
+    edge_side = (frozenset(j - 1 for j in members) for members in h.edges)
+    return Graph((*vertex_side, *edge_side))
+
+
+def vinical_leq(g: Graph, u: int, v: int) -> bool:
+    """Whether u's neighborhood is contained in v's closed neighborhood."""
+    n = len(g.adj)
+    if not (0 <= u < n and 0 <= v < n):
+        raise IndexError(f"node out of range 0..{n - 1}")
+    return g.adj[u] <= g.adj[v] | {v}
+
+
 def brute_force_matching(g: Graph) -> int:
     """Maximum matching size by exhaustive search over edge subsets."""
     edges = sorted({(min(u, v), max(u, v)) for u in range(g.num_nodes) for v in g.adj[u]})
@@ -236,29 +284,59 @@ def random_graph(seed: int, max_nodes: int = 12) -> Graph:
     return Graph.from_edges(n, pairs)
 
 
-def mixed_graph(seed: int) -> Graph:
-    """Isolated nodes, adjacent leaf pairs, stars, a complete block and a
-    random part, under a seeded relabelling so no case sits at fixed ids."""
+def random_hypergraph(seed: int, max_nodes: int = 12) -> Hypergraph:
+    """A seeded instance whose incidence graph has 1..max_nodes nodes."""
     rng = random.Random(seed)
-    pairs: list[tuple[int, int]] = []
-    n = rng.randint(0, 3)  # isolated nodes
-    for _ in range(rng.randint(0, 3)):  # adjacent leaves
-        pairs.append((n, n + 1))
-        n += 2
-    for _ in range(rng.randint(0, 2)):  # stars
+    nodes = rng.randint(1, max_nodes)
+    n = rng.randint(0, nodes)
+    p = rng.choice([0.15, 0.3, 0.5, 0.8])
+    edges = [[j for j in range(1, n + 1) if rng.random() < p] for _ in range(nodes - n)]
+    return Hypergraph.from_edges(n, edges, [1] * len(edges))
+
+
+def mixed_hypergraph(seed: int) -> Hypergraph:
+    """Isolated vertices, empty edges, leaves on both sides, duplicate
+    edges, complete bipartite blocks and a random part, under seeded
+    relabellings of the vertices and the edges so no case sits at fixed ids."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 3)  # isolated vertices
+    edges: list[list[int]] = [[] for _ in range(rng.randint(0, 2))]
+    for _ in range(rng.randint(0, 2)):  # stars: an edge of vertex-side leaves
         leaves = rng.randint(1, 4)
-        pairs.extend((n, n + k) for k in range(1, leaves + 1))
-        n += leaves + 1
-    block = rng.randint(0, 5)
-    pairs.extend(combinations(range(n, n + block), 2))
-    n += block
-    rest = rng.randint(0, 15)
+        edges.append(list(range(n, n + leaves)))
+        n += leaves
+    for _ in range(rng.randint(0, 2)):  # a vertex whose edges are edge-side leaves
+        edges.extend([n] for _ in range(rng.randint(1, 3)))
+        n += 1
+    for _ in range(rng.randint(0, 2)):  # complete bipartite blocks K_{a,b}
+        a, b = rng.randint(1, 4), rng.randint(1, 3)
+        edges.extend(list(range(n, n + a)) for _ in range(b))
+        n += a
+    rest_n = rng.randint(0, 8)
     p = rng.choice([0.1, 0.3, 0.6, 1.0])
-    pairs.extend((u, v) for u in range(n, n + rest) for v in range(u + 1, n + rest) if rng.random() < p)
-    n += rest
-    label = list(range(n))
+    rest = [[v for v in range(n, n + rest_n) if rng.random() < p] for _ in range(rng.randint(0, 8))]
+    edges.extend(rest + rng.sample(rest, min(len(rest), rng.randint(0, 2))))  # duplicate edges
+    n += rest_n
+    label = list(range(1, n + 1))
     rng.shuffle(label)
-    return Graph.from_edges(n, [(label[u], label[v]) for u, v in pairs])
+    rng.shuffle(edges)
+    return Hypergraph.from_edges(n, [[label[v] for v in e] for e in edges], [1] * len(edges))
+
+
+def complete_bipartite(a: int, b: int) -> Hypergraph:
+    """``b`` copies of the edge ``{1..a}``: the incidence graph is ``K_{a,b}``."""
+    return Hypergraph.from_edges(a, [range(1, a + 1)] * b, [1] * b)
+
+
+def nested_hypergraph(n: int) -> Hypergraph:
+    """The nested edges ``{1..i}``, ``i = 1..n``.
+
+    Each side of the incidence graph is one containment chain, and the last
+    vertex and the first edge are leaves below the last edge and the first
+    vertex, so for n >= 2 two chains cover everything while no two nodes
+    are twins.
+    """
+    return Hypergraph.from_edges(n, [range(1, i + 1) for i in range(1, n + 1)], [1] * n)
 
 
 def response_matrix_csv(seed: int, rows: int, cols: int, modules: int) -> str:

@@ -21,7 +21,6 @@ from mhskernel import (
     SolveStatus,
     dilworth_number,
     generate_random,
-    incidence_graph,
     init_state,
     matching_number,
     md_applicable,
@@ -41,8 +40,11 @@ from conftest import (
     brute_force_max_antichain,
     brute_force_opt,
     disjoint_union,
-    nested_neighborhood_graph,
-    random_graph,
+    incidence_graph,
+    naive_dilworth,
+    naive_diversity,
+    nested_hypergraph,
+    random_hypergraph,
     singletons,
 )
 
@@ -72,7 +74,7 @@ def equivalence_runs():
         )
         seq = seq_kernelize(h)
         par = par_kernelize(h)
-        nu = matching_number(incidence_graph(h))
+        nu = matching_number(h)
         runs.append((h, seq, par, nu))
     return runs
 
@@ -194,14 +196,14 @@ def test_criterion_7_supersedence_transitivity():
 def test_criterion_8_parameter_family():
     with verdict("criterion 8 (chain-cover number vs diversity and antichain oracle)"):
         for n in range(1, 9):
-            g = nested_neighborhood_graph(n)
-            assert dilworth_number(g) == 1
-            assert neighborhood_diversity(g) == 2 * n - 1
+            h = nested_hypergraph(n)
+            assert dilworth_number(h) == (2 if n > 1 else 1) == naive_dilworth(incidence_graph(h))
+            assert neighborhood_diversity(h) == (2 * n if n > 1 else 1) == naive_diversity(incidence_graph(h))
         for seed in range(100):
-            g = random_graph(seed, max_nodes=12)
-            nabla = dilworth_number(g)
-            assert nabla <= neighborhood_diversity(g)
-            assert nabla == brute_force_max_antichain(g)
+            h = random_hypergraph(seed)
+            nabla = dilworth_number(h)
+            assert nabla <= neighborhood_diversity(h)
+            assert nabla == brute_force_max_antichain(incidence_graph(h))
 
 
 def test_criterion_9_incremental_state_soundness():

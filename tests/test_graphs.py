@@ -1,35 +1,37 @@
 import random
 import tracemalloc
-from itertools import combinations
 
 import pytest
 
 from mhskernel import (
-    Graph,
     Hypergraph,
     compute_stats,
     dilworth_number,
     generate_random,
-    incidence_graph,
     ingest_response_matrix,
     kernel_bound,
     matching_number,
     neighborhood_diversity,
-    vinical_leq,
 )
-from mhskernel import bitmatrix
+from mhskernel import bitmatrix, graphparams
 from mhskernel.bitmatrix import BLOCK_CELLS
 
 from conftest import (
+    Graph,
     brute_force_matching,
     brute_force_max_antichain,
-    mixed_graph,
+    complete_bipartite,
+    incidence_graph,
+    mixed_hypergraph,
     naive_dilworth,
     naive_diversity,
+    nested_hypergraph,
     nested_neighborhood_graph,
     random_graph,
+    random_hypergraph,
     response_matrix_csv,
     singletons,
+    vinical_leq,
 )
 
 
@@ -86,33 +88,37 @@ def test_vinical_transitive_on_random_triples():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_nested_neighborhood_family(n):
-    g = nested_neighborhood_graph(n)
-    assert dilworth_number(g) == 1
-    assert neighborhood_diversity(g) == 2 * n - 1
+    h = nested_hypergraph(n)
+    g = incidence_graph(h)
+    assert dilworth_number(h) == (2 if n > 1 else 1) == naive_dilworth(g)
+    assert neighborhood_diversity(h) == (2 * n if n > 1 else 1) == naive_diversity(g)
 
 
 def test_dilworth_examples():
-    assert dilworth_number(Graph.from_edges(1, [])) == 1
-    assert dilworth_number(Graph.from_edges(0, [])) == 0
+    assert dilworth_number(Hypergraph(1, (), ())) == 1
+    assert dilworth_number(Hypergraph(0, (), ())) == 0
     for n in (1, 2, 5):
-        assert dilworth_number(incidence_graph(singletons(n))) == n
+        assert dilworth_number(singletons(n)) == n
 
 
 def test_diversity_examples():
-    complete4 = Graph.from_edges(4, list(combinations(range(4), 2)))
-    assert neighborhood_diversity(complete4) == 1
-    assert dilworth_number(complete4) == 1
+    # K_{3,4}: the vertices are twins and so are the edges, and neither
+    # side lies below the other.
+    k34 = complete_bipartite(3, 4)
+    assert neighborhood_diversity(k34) == 2 == naive_diversity(incidence_graph(k34))
+    assert dilworth_number(k34) == 2 == naive_dilworth(incidence_graph(k34))
     # In the incidence graph of two disjoint singletons each hyperedge node
     # and its single vertex are adjacent twins, leaving two classes.
-    assert neighborhood_diversity(incidence_graph(singletons(2))) == 2
+    assert neighborhood_diversity(singletons(2)) == 2
 
 
 @pytest.mark.parametrize("seed", range(100))
 def test_dilworth_vs_diversity_and_antichain_oracle(seed):
-    g = random_graph(seed, max_nodes=12)
-    nabla = dilworth_number(g)
-    assert nabla <= neighborhood_diversity(g)
-    assert nabla == brute_force_max_antichain(g)
+    h = random_hypergraph(seed)
+    nabla = dilworth_number(h)
+    assert nabla <= neighborhood_diversity(h)
+    assert nabla == brute_force_max_antichain(incidence_graph(h))
+    assert matching_number(h) == brute_force_matching(incidence_graph(h))
 
 
 def test_quotient_strict_order_is_acyclic():
@@ -138,13 +144,13 @@ def test_quotient_strict_order_is_acyclic():
 
 def test_matching_examples(ce):
     for n in (1, 3, 6):
-        assert matching_number(incidence_graph(singletons(n))) == n
-    g = incidence_graph(ce)
-    assert matching_number(g) == 3
-    assert matching_number(g) == brute_force_matching(g)
-    assert matching_number(Graph.from_edges(0, [])) == 0
-    with pytest.raises(ValueError):
-        matching_number(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
+        assert matching_number(singletons(n)) == n
+    assert matching_number(ce) == 3
+    assert matching_number(ce) == brute_force_matching(incidence_graph(ce))
+    assert matching_number(Hypergraph(0, (), ())) == 0
+    assert matching_number(Hypergraph(2, ((), ()), (1, 1))) == 0
+    k34 = complete_bipartite(3, 4)
+    assert matching_number(k34) == 3 == brute_force_matching(incidence_graph(k34))
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -152,72 +158,79 @@ def test_matching_against_bruteforce_random(seed):
     rng = random.Random(seed)
     edges = [sorted(rng.sample(range(1, 6), rng.randint(1, 3))) for _ in range(rng.randint(1, 5))]
     h = Hypergraph.from_edges(5, edges, [1] * len(edges))
-    g = incidence_graph(h)
-    assert matching_number(g) == brute_force_matching(g)
+    assert matching_number(h) == brute_force_matching(incidence_graph(h))
 
 
 def test_kernel_bound(ce):
     for n in (1, 4, 7):
         assert kernel_bound(singletons(n)) == 2 * n
     assert kernel_bound(Hypergraph(0, (), ())) == 0
-    nabla = dilworth_number(incidence_graph(ce))
+    nabla = dilworth_number(ce)
     assert kernel_bound(ce) == 2 * 2 * nabla
     assert nabla == 4  # frozen from the antichain oracle
 
 
-def assert_matches_oracles(g):
-    assert dilworth_number(g) == naive_dilworth(g)
-    assert neighborhood_diversity(g) == naive_diversity(g)
+def assert_matches_oracles(h):
+    g = incidence_graph(h)
+    assert dilworth_number(h) == naive_dilworth(g)
+    assert neighborhood_diversity(h) == naive_diversity(g)
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_parameters_match_oracles_on_mixed_graphs(seed):
-    assert_matches_oracles(mixed_graph(seed))
+    assert_matches_oracles(mixed_hypergraph(seed))
 
 
 def test_parameters_match_oracles_on_small_cases():
     for n in range(5):
-        assert_matches_oracles(Graph.from_edges(n, []))
-        assert_matches_oracles(Graph.from_edges(n, list(combinations(range(n), 2))))
-    assert_matches_oracles(Graph.from_edges(4, [(2, 0), (3, 1)]))  # two adjacent leaf pairs
-    assert_matches_oracles(Graph.from_edges(5, [(4, 1), (4, 2), (4, 3)]))  # star and an isolated node
+        assert_matches_oracles(Hypergraph(n, (), ()))  # isolated vertices
+        assert_matches_oracles(Hypergraph(0, ((),) * n, (1,) * n))  # empty edges
+        for b in range(1, 4):
+            assert_matches_oracles(complete_bipartite(n, b))
+    assert_matches_oracles(singletons(2))  # two adjacent leaf pairs
+    assert_matches_oracles(Hypergraph(4, ((1, 2, 3),), (1,)))  # star and an isolated vertex
 
 
 @pytest.mark.parametrize("seed, rows, cols, modules", [(1, 450, 64, 5), (2, 300, 50, 7), (4, 250, 50, 6)])
 def test_parameters_match_oracles_on_screen_inputs(seed, rows, cols, modules):
     h = ingest_response_matrix(response_matrix_csv(seed, rows, cols, modules), alpha=2)
-    g = incidence_graph(h)
     # The co-occurrence kernel emits sum(deg²) pairs: several chunks here.
-    assert sum(len(s) ** 2 for s in g.adj) > 2 * BLOCK_CELLS
-    assert_matches_oracles(g)
+    assert sum(len(s) ** 2 for s in incidence_graph(h).adj) > 2 * BLOCK_CELLS
+    assert_matches_oracles(h)
 
 
-def planted_dense_graph(seed: int, half: int = 150, p: float = 0.5) -> Graph:
-    """A dense random part of ``half`` nodes, plus for each node one node
-    adjacent to a subset of its neighbours (below it in the containment
-    preorder); every fifth added node copies the previous one (a twin)."""
+def planted_dense_hypergraph(seed: int, half: int = 75, p: float = 0.5) -> Hypergraph:
+    """A dense random ``half × half`` part, then for each vertex one vertex
+    in a subset of its edges (below it in the containment preorder), then
+    for each edge one edge holding a subset of it, closed under that
+    planting so the vertices stay below; every fifth added item copies the
+    previous one (a twin)."""
     rng = random.Random(seed)
-    pairs = [(u, v) for u in range(half) for v in range(u + 1, half) if rng.random() < p]
-    nbrs = [set() for _ in range(half)]
-    for u, v in pairs:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
+    edges = [{v for v in range(half) if rng.random() < p} for _ in range(half)]
     keep: set[int] = set()
-    for u in range(half):
-        if u % 5:
-            keep = {w for w in nbrs[u] if rng.random() < 0.9}
-        pairs.extend((w, half + u) for w in keep)
-    return Graph.from_edges(2 * half, pairs)
+    for v in range(half):
+        if v % 5:
+            keep = {i for i in range(half) if v in edges[i] and rng.random() < 0.9}
+        for i in keep:
+            edges[i].add(half + v)
+    kept: set[int] = set()
+    for i in range(half):
+        if i % 5:
+            base = {v for v in edges[i] if v < half and rng.random() < 0.9}
+            kept = base | {half + v for v in base if half + v in edges[i]}
+        edges.append(set(kept))
+    return Hypergraph.from_edges(2 * half, [[v + 1 for v in e] for e in edges], [1] * len(edges))
 
 
 def test_parameters_match_oracles_on_dense_graph(monkeypatch):
-    g = planted_dense_graph(1)
+    h = planted_dense_hypergraph(1)
 
     def no_sparse_path(*args):
         raise AssertionError("expected the dense bit-row path")
 
     monkeypatch.setattr(bitmatrix, "_sparse_counts", no_sparse_path)
-    nabla, diversity = dilworth_number(g), neighborhood_diversity(g)
+    nabla, diversity = dilworth_number(h), neighborhood_diversity(h)
+    g = incidence_graph(h)
     assert nabla == naive_dilworth(g)
     assert diversity == naive_diversity(g)
     assert nabla < g.num_nodes // 2 + 10 and diversity < g.num_nodes  # comparabilities and twins exist
@@ -225,14 +238,14 @@ def test_parameters_match_oracles_on_dense_graph(monkeypatch):
 
 def test_parameter_temporaries_stay_bounded_on_sparse_graph():
     # Only boolean num_nodes² arrays are held; one int64 count matrix of
-    # this graph alone (18 MB) would break the bound.
+    # this incidence graph alone (18 MB) would break the bound.
     n = 1500
     rng = random.Random(7)
-    g = Graph.from_edges(n, {tuple(sorted(rng.sample(range(n), 2))) for _ in range(2 * n)})
+    h = Hypergraph.from_edges(n // 2, [rng.sample(range(1, n // 2 + 1), 4) for _ in range(n // 2)], [1] * (n // 2))
     tracemalloc.start()
     try:
-        dilworth_number(g)
-        neighborhood_diversity(g)
+        dilworth_number(h)
+        neighborhood_diversity(h)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -241,15 +254,18 @@ def test_parameter_temporaries_stay_bounded_on_sparse_graph():
 
 def test_stats_compute_the_containment_preorder_once(monkeypatch):
     h = generate_random(n=40, m=30, p=0.2, alpha=2, seed=5)
-    edge_pairs = bitmatrix.IncidenceMatrix.edge_pairs
-    passes = []
+    calls = []
 
-    def counting(self):
-        passes.append(self)
-        return edge_pairs(self)
+    def counted(name, fn):
+        def run(*args):
+            calls.append(name)
+            return fn(*args)
+        return run
 
-    monkeypatch.setattr(bitmatrix.IncidenceMatrix, "edge_pairs", counting)
+    monkeypatch.setattr(graphparams, "incidence_matrix", counted("build", graphparams.incidence_matrix))
+    for name in ("edge_pairs", "vertex_pairs"):
+        monkeypatch.setattr(bitmatrix.IncidenceMatrix, name, counted(name, getattr(bitmatrix.IncidenceMatrix, name)))
     stats = compute_stats(h, {"dilworth", "diversity"})
-    assert len(passes) == 1
+    assert sorted(calls) == ["build", "edge_pairs", "vertex_pairs"]
     g = incidence_graph(h)
     assert stats == {"dilworth": naive_dilworth(g), "diversity": naive_diversity(g)}

@@ -166,6 +166,9 @@ def test_constructor_rejects_bad_instances():
         Hypergraph(2, ((1, 3),), (1,))  # vertex out of range
     with pytest.raises(ValueError):
         Hypergraph(2, ((1,),), (1, 1))  # demand arity mismatch
+    with pytest.raises(ValueError, match=f"at most {sys.maxsize}"):
+        Hypergraph(sys.maxsize + 1, (), ())  # vertex count beyond any index
+    assert Hypergraph(sys.maxsize, (), ()).n == sys.maxsize
 
 
 def test_ce_text_matches_fixture(ce):

@@ -12,7 +12,6 @@ from mhskernel import (
     generate_random,
     incidence_matrix,
     matching_number,
-    incidence_graph,
     md_applicable,
     par_kernelize,
     par_reduce_edges,
@@ -308,7 +307,7 @@ def test_optimum_preserved(seed):
 def test_round_bound(seed):
     h = generate_random(n=2 + seed % 16, m=2 + (7 * seed) % 16, p=0.35, alpha=1 + seed % 3, seed=seed)
     run = par_kernelize(h)
-    assert run.report.rounds <= matching_number(incidence_graph(h)) + 1
+    assert run.report.rounds <= matching_number(h) + 1
 
 
 @pytest.mark.parametrize("seed", range(30))

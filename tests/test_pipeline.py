@@ -141,7 +141,7 @@ def test_engine_equivalence_end_to_end(seed):
     assert run_pipeline(h, spec_seq)[0] == run_pipeline(h, spec_par)[0]
 
 
-PHASE_ORDERS = ["se,dp,md", "dp,se,md", "md,dp", "fe,dp,md", "fe,se,md,dp", "dp,md,lp", "lp,dp,md,fe"]
+PHASE_ORDERS = ["se,dp,md", "dp,se,md", "md,se", "md,dp", "fe,dp,md", "fe,se,md,dp", "dp,md,lp", "lp,dp,md,fe"]
 
 
 def phase_order_instance(seed: int) -> Hypergraph:
@@ -168,6 +168,16 @@ def test_engine_equivalence_over_phase_orders(order, seed):
         assert seq_report.rounds == par_report.rounds
         assert seq_report.budget_delta == par_report.budget_delta
         assert seq_report.infeasible == par_report.infeasible
+
+
+def test_se_deletes_in_the_phase_orders():
+    # After dp, se finds nothing left to delete; in md,se it has work.
+    deleted = sum(
+        run_pipeline(phase_order_instance(seed), PipelineSpec(("md", "se"), loop=loop))[1].deleted_by_rule["se"]
+        for seed in range(12)
+        for loop in (False, True)
+    )
+    assert deleted > 0
 
 
 @pytest.mark.parametrize("order", PHASE_ORDERS)
