@@ -6,6 +6,7 @@ Exit codes: 0 ok, 1 infeasible, 2 input error, 3 limit exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -88,7 +89,9 @@ def _cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``parse_args`` keeps no state on it."""
     parser = argparse.ArgumentParser(
         prog="mhskernel",
         description="Data reduction, solving and parameter stats for Multiple Hitting Set instances.",
@@ -139,8 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InstanceError, ValueError, OSError) as exc:

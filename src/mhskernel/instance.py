@@ -14,6 +14,7 @@ File format (line oriented, ``#`` starts a comment line)::
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -58,7 +59,7 @@ class Hypergraph:
         for idx, (members, f) in enumerate(zip(self.edges, self.demand), start=1):
             if f < 1:
                 raise ValueError(f"edge {idx}: demand must be positive, got {f}")
-            if any(members[i] >= members[i + 1] for i in range(len(members) - 1)):
+            if not all(map(operator.lt, members, members[1:])):
                 raise ValueError(f"edge {idx}: vertices must be strictly increasing")
             if members and (members[0] < 1 or members[-1] > self.n):
                 raise ValueError(f"edge {idx}: vertex id out of range 1..{self.n}")
@@ -147,20 +148,23 @@ def parse_instance(text: str) -> Hypergraph:
         if len(fields) < 2:
             raise InstanceError("edge line missing demand", line_no)
         try:
-            values = [int(tok) for tok in fields[1:]]
+            values = list(map(int, fields[1:]))
         except ValueError:
             raise InstanceError("non-integer field in edge line", line_no) from None
-        f, members = values[0], values[1:]
+        f = values[0]
         if f < 1:
             raise InstanceError(f"demand must be positive, got {f}", line_no)
-        seen: set[int] = set()
-        for v in members:
-            if v < 1 or v > header[0]:
-                raise InstanceError(f"vertex {v} out of range 1..{header[0]}", line_no)
-            if v in seen:
-                raise InstanceError(f"duplicate vertex {v} in edge", line_no)
-            seen.add(v)
-        edges.append(tuple(sorted(members)))
+        members = sorted(values[1:])
+        if members and (members[0] < 1 or members[-1] > header[0] or len(set(members)) < len(members)):
+            # Name the first bad vertex in input order.
+            seen: set[int] = set()
+            for v in values[1:]:
+                if v < 1 or v > header[0]:
+                    raise InstanceError(f"vertex {v} out of range 1..{header[0]}", line_no)
+                if v in seen:
+                    raise InstanceError(f"duplicate vertex {v} in edge", line_no)
+                seen.add(v)
+        edges.append(tuple(members))
         demand.append(f)
     if header is None:
         raise InstanceError("missing header line")

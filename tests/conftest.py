@@ -10,8 +10,13 @@ library itself never builds.
 from __future__ import annotations
 
 import copy
+import csv
+import io
+import math
+import operator
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -353,6 +358,29 @@ def response_matrix_csv(seed: int, rows: int, cols: int, modules: int) -> str:
                 values[c] += 5.0
         lines.append(",".join(f"{v:.3f}" for v in values))
     return "\n".join(lines) + "\n"
+
+
+def ingest_reference(text: str, sigmas: float, alpha: int, direction: str) -> Hypergraph:
+    """Response-matrix thresholding cell by cell: ``csv.reader`` and
+    ``float()`` for the cells, then per row a mean and a population
+    deviation summed left to right, as ``ingest_response_matrix``
+    documents.  A row whose spread overflows raises ``ValueError``."""
+    rows = [[float(cell) for cell in row] for row in csv.reader(io.StringIO(text)) if any(c.strip() for c in row)]
+    edges = []
+    demand = []
+    for values in rows:
+        mean = reduce(operator.add, values, 0.0) / len(values)
+        sigma = math.sqrt(reduce(operator.add, [(x - mean) * (x - mean) for x in values], 0.0) / len(values))
+        if math.isinf(sigma):
+            raise ValueError("the spread of a row overflows a float")
+        if direction == "above":
+            members = [j + 1 for j, x in enumerate(values) if x > mean + sigmas * sigma]
+        else:
+            members = [j + 1 for j, x in enumerate(values) if x < mean - sigmas * sigma]
+        if members:
+            edges.append(tuple(members))
+            demand.append(min(alpha, len(members)))
+    return Hypergraph(len(rows[0]) if rows else 0, tuple(edges), tuple(demand))
 
 
 def nested_neighborhood_graph(n: int) -> Graph:

@@ -172,6 +172,20 @@ def test_reduce_rejects_non_positive_workers(ce_file, capsys):
     assert "worker count must be positive" in capsys.readouterr().err
 
 
+def test_parser_keeps_no_state_between_calls(ce_file, capsys):
+    # main reuses one parser; a flag given in one call must not leak into the next.
+    assert main(["stats", "-i", ce_file, "--dilworth"]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == ["dilworth"]
+    assert main(["stats", "-i", ce_file]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 4
+    assert main(["reduce", "-i", ce_file, "--bounds"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert first["bound_2_alpha_nabla"] is not None and first["matching_bound"] is not None
+    assert main(["reduce", "-i", ce_file]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert second["bound_2_alpha_nabla"] is None and second["matching_bound"] is None
+
+
 def test_module_entry_point(ce_file):
     result = run_python("-m", "mhskernel", "solve", "-i", ce_file)
     assert result.returncode == 0
@@ -184,13 +198,17 @@ def test_import_stays_numpy_only():
     assert result.returncode == 0, result.stderr
 
 
-def test_parameters_stay_numpy_only(ce_file):
+def test_parameters_stay_numpy_only(ce_file, tmp_path):
     # stats and reduce --bounds compute every graph parameter, the reduce
-    # runs apply every rule on both engines, and solve runs the exact search;
-    # none may pull in scipy.
+    # runs apply every rule on both engines, solve runs the exact search and
+    # ingest reads its CSV with numpy; none may pull in scipy.
+    csv = tmp_path / "responses.csv"
+    csv.write_text("0,0,0,0,0,0,0,0,0,100\n1,2,3,4,5,6,7,8,9,10\n")
+    out = str(tmp_path / "ingested.mhs")
     code = (
         "import sys\n"
         "from mhskernel.cli import main\n"
+        f"assert main(['ingest', '--csv', {str(csv)!r}, '-o', {out!r}]) == 0\n"
         f"assert main(['solve', '-i', {ce_file!r}]) == 0\n"
         f"assert main(['stats', '-i', {ce_file!r}, '--dilworth', '--diversity', '--matching', '--size']) == 0\n"
         f"assert main(['reduce', '-i', {ce_file!r}, '--bounds']) == 0\n"

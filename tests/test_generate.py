@@ -1,8 +1,11 @@
 import logging
+import random
 
 import pytest
 
-from mhskernel import generate_random, ingest_response_matrix, serialize_instance
+from mhskernel import generate, generate_random, ingest_response_matrix, serialize_instance
+
+from conftest import ingest_reference, response_matrix_csv
 
 
 class TestGenerateRandom:
@@ -106,3 +109,79 @@ class TestIngest:
         # A NaN row mean would otherwise drop the row as "empty" with no error.
         with pytest.raises(ValueError, match="row 2, column 2"):
             ingest_response_matrix(f"1,2,3,4,50\n1,{cell},3,4,50\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("1,2,9\n\n1e308,1e308,0\n", "row 3: the spread of its cells overflows a float"),
+        ("1,2,9\n\n1,x,0\n", "row 3: non-numeric cell"),
+        ("1,2,9\r\n  \r\n,,\r\n1,nan,0\r\n", "row 4, column 2: non-finite cell nan"),
+    ])
+    def test_errors_name_the_csv_row(self, text, message):
+        # Blank, whitespace-only and comma-only rows count towards the row numbers.
+        with pytest.raises(ValueError, match=message):
+            ingest_response_matrix(text, sigmas=1.0)
+
+    def test_empty_edge_warning_names_the_csv_row(self, caplog):
+        with caplog.at_level(logging.WARNING):
+            h = ingest_response_matrix("1,2,9\n\n5,5,5\n", sigmas=1.0)
+        assert h.edges == ((3,),)
+        assert caplog.messages == ["row 3 thresholds to an empty edge; dropping it"]
+
+    def test_row_sums_run_left_to_right(self):
+        # Left to right the 1 is absorbed into 1e16 and the mean is 0.025; a
+        # compensated sum (Python 3.12's sum()) gives 0.275 and drops column 4.
+        h = ingest_response_matrix("1e16,1,-1e16,0.1\n", sigmas=0.0)
+        assert h.edges == ((1, 2, 4),)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("direction", ["above", "below"])
+    @pytest.mark.parametrize("sigmas", [0.0, 1.0, 2.0])
+    def test_matches_the_cell_by_cell_reference(self, seed, direction, sigmas):
+        text = response_matrix_csv(seed, rows=40 + seed, cols=12 + seed, modules=3)
+        h = ingest_response_matrix(text, sigmas=sigmas, alpha=2, direction=direction)
+        assert h == ingest_reference(text, sigmas, 2, direction)
+
+
+def _fuzz_cell(rng: random.Random) -> str:
+    x = rng.choice([rng.gauss(0.0, 1.0), rng.gauss(0.0, 1e6), float(rng.randint(-9, 9)), -0.0, 1e308, 1e-320])
+    return rng.choices([
+        repr(x), f"{x:.3f}", f"{x:g}", f" {x} ", f"\t{x:.2e} ", f'"{x}"', "1_0", "\u0661\u0662",
+        "nan", "inf", "-Infinity", "1e400", "", "x",
+    ], weights=[30, 30, 10, 6, 4, 2, 1, 1, 1, 1, 1, 1, 1, 1])[0]
+
+
+def _fuzz_csv(rng: random.Random) -> str:
+    cols = rng.randint(1, 6)
+    lines = []
+    for _ in range(rng.randint(0, 8)):
+        cells = [_fuzz_cell(rng) for _ in range(cols)]
+        if rng.random() < 0.03:
+            cells = cells[:-1] if rng.random() < 0.5 else cells + ["1"]  # ragged
+        lines.append(",".join(cells))
+        if rng.random() < 0.08:
+            lines.append(rng.choice(["", "   ", ",,", " , ", "\t"]))
+    return rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n", "\r\n"])
+
+
+def _outcome(parse, text):
+    try:
+        cells = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return cells.shape, cells.tobytes()
+
+
+def test_fast_csv_parse_matches_the_reference(monkeypatch):
+    reference = generate._read_matrix
+    fallbacks = []
+
+    def counted(text):
+        fallbacks.append(text)
+        return reference(text)
+
+    monkeypatch.setattr(generate, "_read_matrix", counted)
+    rng = random.Random(2024)
+    texts = [_fuzz_csv(rng) for _ in range(600)]
+    for text in texts:
+        assert _outcome(generate._parse_matrix, text) == _outcome(reference, text), repr(text)
+    # Both paths ran: loadtxt read some texts alone, the reference the rest.
+    assert 100 < len(fallbacks) < len(texts) - 100

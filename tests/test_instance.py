@@ -40,26 +40,39 @@ def test_parse_budget_and_comments():
     assert h.edges == ((1, 3),)  # sorted on input
 
 
+def _case(text, line, message):
+    # Ids name the text and line only, as they did before messages were pinned.
+    return pytest.param(text, line, message, id=f"{text}-{line}")
+
+
 @pytest.mark.parametrize(
-    "text,line",
+    "text,line,message",
     [
-        ("p mhs 2 1\ne 0 1", 2),  # zero demand
-        ("p mhs 2 1\ne -3 1", 2),  # negative demand
-        ("p mhs 2 1\ne 1 3", 2),  # vertex out of range
-        ("p mhs 2 1\ne 1 1 1", 2),  # duplicate vertex in edge
-        ("p cnf 2 1\ne 1 1", 1),  # wrong problem tag
-        ("p mhs 2\ne 1 1", 1),  # missing edge count
-        ("p mhs 2 1 -1\ne 1 1", 1),  # negative budget
-        ("p mhs 2 x\ne 1 1", 1),  # non-integer header
-        ("p mhs 2 1\nz 1 1", 2),  # unknown line type
-        ("p mhs 2 1\ne 1 q", 2),  # non-integer vertex
-        ("p mhs 18446744073709551616 0", 1),  # vertex count beyond any index
+        _case("p mhs 2 1\ne 0 1", 2, "demand must be positive, got 0"),
+        _case("p mhs 2 1\ne -3 1", 2, "demand must be positive, got -3"),
+        _case("p mhs 2 1\ne 1 3", 2, "vertex 3 out of range 1..2"),
+        _case("p mhs 2 1\ne 1 1 1", 2, "duplicate vertex 1 in edge"),
+        _case("p cnf 2 1\ne 1 1", 1, "expected header 'p mhs <n> <m> [k]'"),  # wrong problem tag
+        _case("p mhs 2\ne 1 1", 1, "expected header 'p mhs <n> <m> [k]'"),  # missing edge count
+        _case("p mhs 2 1 -1\ne 1 1", 1, "budget must be non-negative"),
+        _case("p mhs 2 x\ne 1 1", 1, "non-integer field in header"),
+        _case("p mhs 2 1\nz 1 1", 2, "expected edge line 'e <demand> <v1> ...', got 'z'"),
+        _case("p mhs 2 1\ne 1 q", 2, "non-integer field in edge line"),
+        _case("p mhs 18446744073709551616 0", 1, f"vertex count must be at most {sys.maxsize}"),
+        # The first bad vertex in input order is named, whatever the sorted order.
+        _case("p mhs 3 1\ne 1 2 2 9", 2, "duplicate vertex 2 in edge"),
+        _case("p mhs 3 1\ne 1 9 2 2", 2, "vertex 9 out of range 1..3"),
     ],
 )
-def test_parse_errors_carry_line_numbers(text, line):
+def test_parse_errors_carry_line_numbers(text, line, message):
     with pytest.raises(InstanceError) as err:
         parse_instance(text)
     assert err.value.line_no == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_parse_sorts_an_unsorted_edge_line():
+    assert parse_instance("p mhs 3 1\ne 1 3 1 2").edges == ((1, 2, 3),)
 
 
 def test_parse_accepts_the_largest_index_as_vertex_count():
