@@ -19,7 +19,6 @@ from .instance import (
     FeasibilityReport,
     Hypergraph,
     InstanceError,
-    edges_of,
     instance_size,
     parse_instance,
     serialize_instance,
@@ -32,10 +31,8 @@ from .rules import (
     ActiveInstance,
     RuleOutcome,
     build_pushed_subinstance,
-    dominators,
     exact_oracle,
     lp_rule_applicable,
-    md_applicable,
     pushed_max_oracle,
     supersedes,
 )
@@ -58,8 +55,6 @@ __all__ = [
     "build_pushed_subinstance",
     "compute_stats",
     "dilworth_number",
-    "dominators",
-    "edges_of",
     "exact_oracle",
     "generate_random",
     "incidence_matrix",
@@ -69,7 +64,6 @@ __all__ = [
     "kernel_bound",
     "lp_rule_applicable",
     "matching_number",
-    "md_applicable",
     "neighborhood_diversity",
     "par_kernelize",
     "par_reduce_edges",

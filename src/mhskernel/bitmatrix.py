@@ -199,9 +199,5 @@ class IncidenceMatrix:
 
 
 def incidence_matrix(h: Hypergraph) -> IncidenceMatrix:
-    """Build the row-compressed incidence matrix of ``h``."""
-    sizes = np.fromiter((len(members) for members in h.edges), dtype=np.intp, count=h.m)
-    indptr = np.zeros(h.m + 1, dtype=np.intp)
-    np.cumsum(sizes, out=indptr[1:])
-    words = np.fromiter((j - 1 for members in h.edges for j in members), dtype=np.intp, count=int(indptr[-1]))
-    return IncidenceMatrix(h.m, h.n, indptr, words)
+    """The row-compressed incidence matrix of ``h``, on its stored arrays."""
+    return IncidenceMatrix(h.m, h.n, h.indptr, h.words)

@@ -50,10 +50,15 @@ def generate_random(n: int, m: int, p: float, alpha: int, seed: int) -> Hypergra
 
 def _csv_rows(text: str):
     """``(row number, cells)`` of each CSV row with a non-blank cell; blank
-    rows count towards the numbers."""
-    for row_no, row in enumerate(csv.reader(io.StringIO(text)), start=1):
-        if any(cell.strip() for cell in row):
-            yield row_no, row
+    rows count towards the numbers.  A row ``csv.reader`` cannot read
+    raises ``ValueError`` naming it."""
+    row_no = 0
+    try:
+        for row_no, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+            if any(cell.strip() for cell in row):
+                yield row_no, row
+    except csv.Error as exc:
+        raise ValueError(f"row {row_no + 1}: unreadable CSV ({exc})") from None
 
 
 def _read_matrix(text: str) -> np.ndarray:
@@ -129,20 +134,16 @@ def ingest_response_matrix(
     overflow = np.flatnonzero(np.isinf(sigma))
     stop = int(overflow[0]) if overflow.size else m
     inside = inside[:stop]
-    sizes = inside.sum(axis=1).tolist()
-    columns = (inside.nonzero()[1] + 1).tolist()
+    sizes = inside.sum(axis=1)
+    kept = sizes > 0
     # Data rows are numbered as CSV rows only for a message.
-    row_nos = [row_no for row_no, _ in _csv_rows(text)] if stop < m or 0 in sizes else None
-    edges = []
-    demand = []
-    start = 0
-    for r, size in enumerate(sizes):
-        if not size:
-            logger.warning("row %d thresholds to an empty edge; dropping it", row_nos[r])
-            continue
-        edges.append(tuple(columns[start:start + size]))
-        demand.append(min(alpha, size))
-        start += size
+    row_nos = [row_no for row_no, _ in _csv_rows(text)] if stop < m or not kept.all() else None
+    for r in np.flatnonzero(~kept).tolist():
+        logger.warning("row %d thresholds to an empty edge; dropping it", row_nos[r])
     if stop < m:
         raise ValueError(f"row {row_nos[stop]}: the spread of its cells overflows a float")
-    return Hypergraph(n, tuple(edges), tuple(demand))
+    sizes = sizes[kept]
+    indptr = np.zeros(sizes.size + 1, dtype=np.intp)
+    np.cumsum(sizes, out=indptr[1:])
+    demand = [min(alpha, size) for size in sizes.tolist()]
+    return Hypergraph.from_arrays(n, indptr, np.nonzero(inside[kept])[1], demand)

@@ -10,15 +10,23 @@ File format (line oriented, ``#`` starts a comment line)::
 
     p mhs <n> <m> [k]
     e <demand> <v1> <v2> ...     (exactly m such lines, 1-based vertices)
+
+Plain text, the kind :func:`serialize_instance` writes, is read in bulk by
+numpy; any other text goes to the line parser, which gives the same
+instance or names the offending line.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable
+
+import numpy as np
 
 
 class InstanceError(ValueError):
@@ -31,7 +39,13 @@ class InstanceError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+def _frozen(a) -> np.ndarray:
+    """A read-only view of ``a`` as an intp array; ``a`` stays writeable."""
+    view = np.asarray(a, dtype=np.intp).view()
+    view.flags.writeable = False
+    return view
+
+
 class Hypergraph:
     """Immutable hypergraph with per-edge demands.
 
@@ -42,18 +56,45 @@ class Hypergraph:
         budget: optional solution-size budget.  May go negative in
             intermediate reduction results; negative budgets are reported
             as infeasible by :func:`validate_feasibility`.
+        indptr, words: the row-compressed incidence matrix.  ``words``
+            lists the 0-based vertex of every incidence, edge by edge and
+            increasing within an edge, and ``indptr[i]:indptr[i + 1]``
+            delimits the run of edge ``i + 1``.  Both are read-only.
+
+    An instance built from tuples derives the arrays on first access, and
+    one built by :meth:`from_arrays` derives the tuples.  Equality, hashing
+    and every derived view agree whichever way it was built.
     """
 
-    n: int
-    edges: tuple[tuple[int, ...], ...]
-    demand: tuple[int, ...]
-    budget: int | None = None
+    def __init__(
+        self,
+        n: int,
+        edges: tuple[tuple[int, ...], ...],
+        demand: tuple[int, ...],
+        budget: int | None = None,
+    ):
+        fields = vars(self)
+        fields["n"], fields["edges"], fields["demand"], fields["budget"] = n, edges, demand, budget
+        self.__post_init__()
+
+    @classmethod
+    def from_arrays(cls, n: int, indptr, words, demand: Iterable[int], budget: int | None = None) -> "Hypergraph":
+        """An instance from its row-compressed incidence matrix (see the
+        class docstring) and per-edge demands as Python ints.  Only ``n`` is
+        checked: the callers (the parser, ``ActiveInstance.extract`` and
+        ingest) pass arrays that already hold every other invariant."""
+        h = object.__new__(cls)
+        vars(h).update(n=n, indptr=_frozen(indptr), words=_frozen(words), demand=tuple(demand), budget=budget)
+        h.__post_init__()
+        return h
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
         if self.n > sys.maxsize:
             raise ValueError(f"vertex count must be at most {sys.maxsize}")
+        if "edges" not in vars(self):
+            return  # from_arrays: checked by its caller
         if len(self.edges) != len(self.demand):
             raise ValueError("one demand per edge required")
         for idx, (members, f) in enumerate(zip(self.edges, self.demand), start=1):
@@ -63,6 +104,27 @@ class Hypergraph:
                 raise ValueError(f"edge {idx}: vertices must be strictly increasing")
             if members and (members[0] < 1 or members[-1] > self.n):
                 raise ValueError(f"edge {idx}: vertex id out of range 1..{self.n}")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if (self.n, self.demand, self.budget) != (other.n, other.demand, other.budget):
+            return False
+        if "edges" in vars(self) and "edges" in vars(other):
+            return self.edges == other.edges
+        return np.array_equal(self.indptr, other.indptr) and np.array_equal(self.words, other.words)
+
+    def __hash__(self):
+        return hash((self.n, self.demand, self.budget))
+
+    def __repr__(self):
+        return f"Hypergraph(n={self.n!r}, edges={self.edges!r}, demand={self.demand!r}, budget={self.budget!r})"
 
     @classmethod
     def from_edges(
@@ -85,9 +147,15 @@ class Hypergraph:
             canon.append(tuple(mem))
         return cls(n, tuple(canon), tuple(demand), budget)
 
+    def with_budget(self, budget: int | None) -> "Hypergraph":
+        """The same instance with ``budget``, sharing every derived view."""
+        h = object.__new__(self.__class__)
+        vars(h).update(vars(self), budget=budget)
+        return h
+
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.demand)
 
     @cached_property
     def alpha(self) -> int:
@@ -95,28 +163,88 @@ class Hypergraph:
         return max(self.demand, default=0)
 
     @cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        members, bounds = (self.words + 1).tolist(), self.indptr.tolist()
+        return tuple(tuple(members[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        indptr = np.zeros(self.m + 1, dtype=np.intp)
+        np.cumsum(np.fromiter(map(len, self.edges), dtype=np.intp, count=self.m), out=indptr[1:])
+        return _frozen(indptr)
+
+    @cached_property
+    def words(self) -> np.ndarray:
+        words = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=int(self.indptr[-1]))
+        return _frozen(words - 1)
+
+    @cached_property
     def edge_bits(self) -> tuple[int, ...]:
         """Per edge, a bitset of its vertices (vertex j maps to bit j-1)."""
+        if "edges" in vars(self):
+            rows, first = self.edges, 1
+        else:
+            columns, bounds = self.words.tolist(), self.indptr.tolist()
+            rows, first = (columns[lo:hi] for lo, hi in zip(bounds, bounds[1:])), 0
         out = []
-        for members in self.edges:
+        for members in rows:
             bits = 0
             for j in members:
-                bits |= 1 << (j - 1)
+                bits |= 1 << (j - first)
             out.append(bits)
         return tuple(out)
 
-    @cached_property
-    def vertex_edges(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, the increasing tuple of edge ids containing it."""
-        incident: list[list[int]] = [[] for _ in range(self.n)]
-        for i, members in enumerate(self.edges, start=1):
-            for j in members:
-                incident[j - 1].append(i)
-        return tuple(tuple(lst) for lst in incident)
+
+# Plain text: the header, then edge lines of "e" and numbers of at most 18
+# digits (which fit in an int64) after single spaces, each ending in "\n".
+_PLAIN_HEADER = re.compile(r"p mhs ([0-9]{1,18}) ([0-9]{1,18})(?: ([0-9]{1,18}))?\n")
+_PLAIN_BODY = re.compile(r"(?:e(?: [0-9]{1,18})+\n)*")
 
 
 def parse_instance(text: str) -> Hypergraph:
-    """Parse instance text, validating the header and every edge line."""
+    """Parse instance text, validating the header and every edge line.
+
+    Plain text is read by :func:`_parse_plain`; any other text, and plain
+    text that fails a check, goes to :func:`_parse_lines`, the reference,
+    which words every error."""
+    h = _parse_plain(text)
+    return _parse_lines(text) if h is None else h
+
+
+def _parse_plain(text: str) -> Hypergraph | None:
+    """The instance of plain text, read in bulk: one ``np.fromstring``
+    call, then the demand, range, order and edge-count checks on the
+    arrays.  ``None`` when the text is not plain or fails a check."""
+    header = _PLAIN_HEADER.match(text)
+    if header is None or _PLAIN_BODY.fullmatch(text, header.end()) is None:
+        return None
+    n, m = int(header[1]), int(header[2])
+    body = text[header.end() :]
+    # "e" reads as -1, the only negative value, and marks each edge line.
+    values = np.fromstring(body.replace("e", "-1"), dtype=np.int64, sep=" ") if body else np.empty(0, np.int64)
+    starts = np.flatnonzero(values == -1)
+    if starts.size != m:
+        return None
+    sizes = np.diff(np.append(starts, values.size)) - 2
+    member = np.ones(values.size, dtype=bool)
+    member[starts] = member[starts + 1] = False
+    demand, words = values[starts + 1], values[member] - 1
+    row = np.repeat(np.arange(m), sizes)
+    if (
+        np.any(demand < 1)
+        or np.any(words >= n)
+        or np.any(words < 0)
+        or not np.all((np.diff(words) > 0) | (np.diff(row) != 0))
+    ):
+        return None
+    indptr = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(sizes, out=indptr[1:])
+    return Hypergraph.from_arrays(n, indptr, words, demand.tolist(), None if header[3] is None else int(header[3]))
+
+
+def _parse_lines(text: str) -> Hypergraph:
+    """Parse any instance text line by line; raises :class:`InstanceError`
+    naming the first offending line."""
     header: tuple[int, int, int | None] | None = None
     edges: list[tuple[int, ...]] = []
     demand: list[int] = []
@@ -175,24 +303,18 @@ def parse_instance(text: str) -> Hypergraph:
 
 
 def serialize_instance(h: Hypergraph) -> str:
-    """Render an instance back to text; round-trips through parse_instance."""
+    """Render an instance back to text, from its arrays; round-trips
+    through parse_instance."""
     head = f"p mhs {h.n} {h.m}" + (f" {h.budget}" if h.budget is not None else "")
+    members, bounds = list(map(str, (h.words + 1).tolist())), h.indptr.tolist()
     lines = [head]
-    for members, f in zip(h.edges, h.demand):
-        lines.append("e " + " ".join(str(x) for x in (f, *members)))
+    lines.extend(" ".join(["e", str(f), *members[lo:hi]]) for f, lo, hi in zip(h.demand, bounds, bounds[1:]))
     return "\n".join(lines) + "\n"
 
 
 def instance_size(h: Hypergraph) -> int:
     """Size measure: vertex count plus the sum of all edge cardinalities."""
-    return h.n + sum(len(e) for e in h.edges)
-
-
-def edges_of(h: Hypergraph, j: int) -> frozenset[int]:
-    """Ids of the edges containing vertex ``j``."""
-    if not 1 <= j <= h.n:
-        raise IndexError(f"vertex {j} out of range 1..{h.n}")
-    return frozenset(h.vertex_edges[j - 1])
+    return h.n + h.words.size
 
 
 @dataclass(frozen=True)
@@ -213,9 +335,7 @@ def validate_feasibility(h: Hypergraph) -> FeasibilityReport:
     """
     if h.budget is not None and h.budget < 0:
         return FeasibilityReport(False, reason=f"budget {h.budget} is negative")
-    for i, (members, f) in enumerate(zip(h.edges, h.demand), start=1):
-        if f > len(members):
-            return FeasibilityReport(
-                False, reason=f"edge {i} demands {f} hits but has {len(members)} vertices", edge=i
-            )
+    for i, (f, size) in enumerate(zip(h.demand, np.diff(h.indptr).tolist()), start=1):
+        if f > size:
+            return FeasibilityReport(False, reason=f"edge {i} demands {f} hits but has {size} vertices", edge=i)
     return FeasibilityReport(True)

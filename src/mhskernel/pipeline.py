@@ -29,7 +29,7 @@ each such phase, and ``fe`` reads the same masked matrix:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,7 +132,7 @@ def _run(h: Hypergraph, spec: PipelineSpec) -> KernelRun:
     if validate_feasibility(h):
         reduced, vertex_ids, edge_ids = _reduce(h, spec, report).extract()
         if h.budget is not None:
-            reduced = replace(reduced, budget=h.budget - report.budget_delta)
+            reduced = reduced.with_budget(h.budget - report.budget_delta)
             report.infeasible |= reduced.budget < 0
     else:
         report.infeasible = True

@@ -66,21 +66,11 @@ class ActiveInstance:
         """Alive vertices of edge ``i``."""
         return tuple(j for j in self.h.edges[i - 1] if self.vertex_alive[j - 1])
 
-    def vertex_incidences(self, j: int) -> tuple[int, ...]:
-        """Alive edges containing vertex ``j``."""
-        return tuple(i for i in self.h.vertex_edges[j - 1] if self.edge_alive[i - 1])
-
     def require_edge(self, i: int) -> None:
         if not 1 <= i <= self.h.m:
             raise IndexError(f"edge {i} out of range 1..{self.h.m}")
         if not self.edge_alive[i - 1]:
             raise ValueError(f"edge {i} is deleted")
-
-    def require_vertex(self, j: int) -> None:
-        if not 1 <= j <= self.h.n:
-            raise IndexError(f"vertex {j} out of range 1..{self.h.n}")
-        if not self.vertex_alive[j - 1]:
-            raise ValueError(f"vertex {j} is deleted")
 
     def alive_matrix(self) -> tuple[IncidenceMatrix, np.ndarray, np.ndarray]:
         """The input's matrix restricted to the alive edges (rows) and vertices (columns),
@@ -95,9 +85,8 @@ class ActiveInstance:
         its vertices and edges, in order.
         """
         matrix, vertex_ids, edge_ids = self.alive_matrix()
-        members, bounds = (matrix.words + 1).tolist(), matrix.indptr.tolist()
-        edges = tuple(tuple(members[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-        sub = Hypergraph(matrix.cols, edges, tuple(self.demand[i] for i in edge_ids.tolist()), self.h.budget)
+        demand = [self.demand[i] for i in edge_ids.tolist()]
+        sub = Hypergraph.from_arrays(matrix.cols, matrix.indptr, matrix.words, demand, self.h.budget)
         return sub, (vertex_ids + 1).tolist(), (edge_ids + 1).tolist()
 
 
@@ -111,27 +100,6 @@ def supersedes(active: ActiveInstance, i: int, j: int) -> bool:
     in_j = set(active.edge_members(j))
     only_i = sum(1 for v in active.edge_members(i) if v not in in_j)
     return active.demand[i - 1] - only_i >= active.demand[j - 1]
-
-
-def dominators(active: ActiveInstance, j: int) -> frozenset[int]:
-    """Alive vertices whose incidences contain all of vertex ``j``'s."""
-    active.require_vertex(j)
-    own = set(active.vertex_incidences(j))
-    out = []
-    for i in range(1, active.h.n + 1):
-        if i != j and active.vertex_alive[i - 1] and own.issubset(active.vertex_incidences(i)):
-            out.append(i)
-    return frozenset(out)
-
-
-def md_applicable(active: ActiveInstance, j: int) -> bool:
-    """Whether vertex ``j`` has enough dominators to cover the largest
-    demand among its alive edges (a vertex in no alive edge always has)."""
-    active.require_vertex(j)
-    need = max((active.demand[i - 1] for i in active.vertex_incidences(j)), default=0)
-    if need == 0:
-        return True
-    return len(dominators(active, j)) >= need
 
 
 def superseding(common, size_i, f_i, id_i, size_j, f_j, id_j, rule: str = "dp"):

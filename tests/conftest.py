@@ -16,7 +16,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import pytest
@@ -99,6 +99,58 @@ def assert_candidates_sound(state) -> None:
         assert phase(narrow) == phase(every)
         assert narrow.active.edge_alive == every.active.edge_alive
         assert narrow.active.vertex_alive == every.active.vertex_alive
+
+
+@lru_cache(maxsize=64)
+def vertex_edges(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """Per vertex, the increasing tuple of edge ids containing it (cached,
+    since the per-vertex references below ask for it once per vertex)."""
+    incident: list[list[int]] = [[] for _ in range(h.n)]
+    for i, members in enumerate(h.edges, start=1):
+        for j in members:
+            incident[j - 1].append(i)
+    return tuple(tuple(lst) for lst in incident)
+
+
+def edges_of(h: Hypergraph, j: int) -> frozenset[int]:
+    """Ids of the edges containing vertex ``j``."""
+    if not 1 <= j <= h.n:
+        raise IndexError(f"vertex {j} out of range 1..{h.n}")
+    return frozenset(vertex_edges(h)[j - 1])
+
+
+def require_vertex(active, j: int) -> None:
+    if not 1 <= j <= active.h.n:
+        raise IndexError(f"vertex {j} out of range 1..{active.h.n}")
+    if not active.vertex_alive[j - 1]:
+        raise ValueError(f"vertex {j} is deleted")
+
+
+def vertex_incidences(active, j: int) -> tuple[int, ...]:
+    """Alive edges of an ``ActiveInstance`` containing vertex ``j``."""
+    return tuple(i for i in vertex_edges(active.h)[j - 1] if active.edge_alive[i - 1])
+
+
+def dominators(active, j: int) -> frozenset[int]:
+    """Alive vertices whose incidences contain all of vertex ``j``'s."""
+    require_vertex(active, j)
+    own = set(vertex_incidences(active, j))
+    out = []
+    for i in range(1, active.h.n + 1):
+        if i != j and active.vertex_alive[i - 1] and own.issubset(vertex_incidences(active, i)):
+            out.append(i)
+    return frozenset(out)
+
+
+def md_applicable(active, j: int) -> bool:
+    """Whether vertex ``j`` has enough dominators to cover the largest
+    demand among its alive edges (a vertex in no alive edge always has):
+    the multiple-domination rule for one vertex, the engines' reference."""
+    require_vertex(active, j)
+    need = max((active.demand[i - 1] for i in vertex_incidences(active, j)), default=0)
+    if need == 0:
+        return True
+    return len(dominators(active, j)) >= need
 
 
 def naive_extract(active) -> tuple[Hypergraph, list[int], list[int]]:
@@ -191,7 +243,7 @@ def incidence_graph(h: Hypergraph) -> Graph:
     node ``n + i - 1``.  An edge-side node is adjacent exactly to the
     vertices the hyperedge contains.
     """
-    vertex_side = (frozenset(h.n + i - 1 for i in incident) for incident in h.vertex_edges)
+    vertex_side = (frozenset(h.n + i - 1 for i in incident) for incident in vertex_edges(h))
     edge_side = (frozenset(j - 1 for j in members) for members in h.edges)
     return Graph((*vertex_side, *edge_side))
 

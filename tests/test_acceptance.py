@@ -23,7 +23,6 @@ from mhskernel import (
     generate_random,
     init_state,
     matching_number,
-    md_applicable,
     neighborhood_diversity,
     par_kernelize,
     par_reduce_vertices,
@@ -41,6 +40,7 @@ from conftest import (
     brute_force_opt,
     disjoint_union,
     incidence_graph,
+    md_applicable,
     naive_dilworth,
     naive_diversity,
     nested_hypergraph,

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mhskernel import Hypergraph, bitmatrix, edges_of, generate_random, incidence_matrix, instance_size
+from mhskernel import Hypergraph, bitmatrix, generate_random, incidence_matrix, instance_size
 
-from conftest import singletons
+from conftest import edges_of, singletons, vertex_edges
 
 
 def members(A, i: int) -> list[int]:
@@ -126,7 +126,7 @@ def test_dense_counts_across_word_boundaries(monkeypatch, block):
                    (1, 1, 1, 1, 1))
     monkeypatch.setattr(bitmatrix, "BLOCK_CELLS", block)
     A = incidence_matrix(h)
-    edges, vertices = [set(e) for e in h.edges], [set(v) for v in h.vertex_edges]
+    edges, vertices = [set(e) for e in h.edges], [set(v) for v in vertex_edges(h)]
     for args, sets in (((A.indptr, A.words, *A.columns), edges), ((*A.columns, A.indptr, A.words), vertices)):
         expected = {(a, b): len(sets[a] & sets[b]) for a in range(len(sets)) for b in range(len(sets))}
         assert _counts(bitmatrix._dense_counts(*args)) == {k: c for k, c in expected.items() if c}

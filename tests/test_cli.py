@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mhskernel
-from mhskernel import parse_instance
+from mhskernel import Hypergraph, generate_random, instance, parse_instance, serialize_instance
 from mhskernel.cli import main
 
 from conftest import CE_TEXT
@@ -233,3 +233,22 @@ def test_matching_on_long_augmenting_path(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     assert main(["stats", "-i", str(path), "--matching"]) == 0
     assert json.loads(capsys.readouterr().out) == {"matching": n}
+
+
+def test_reduce_and_solve_stay_on_the_arrays(tmp_path, monkeypatch):
+    # A generated instance is parsed in bulk, reduced, written and solved
+    # without the line parser and without building the edge tuples.
+    raw, kernel, report = (str(tmp_path / name) for name in ("raw.mhs", "kernel.mhs", "report.json"))
+    (tmp_path / "raw.mhs").write_text(serialize_instance(generate_random(n=60, m=60, p=0.04, alpha=1, seed=8)))
+
+    def refuse(*args):
+        raise AssertionError("edge tuples or the line parser used")
+
+    monkeypatch.setattr(instance, "_parse_lines", refuse)
+    monkeypatch.setattr(Hypergraph, "edges", property(refuse))
+    for rules in ("dp,md", "fe,dp,se,md"):
+        for engine in ("seq", "par"):
+            argv = ["reduce", "-i", raw, "-o", kernel, "--rules", rules, "--loop", "--engine", engine, "--report", report]
+            assert main(argv) == 0
+            assert main(["solve", "-i", kernel, "--node-limit", "100000"]) == 0
+    assert main(["solve", "-i", raw, "--node-limit", "100000"]) == 0

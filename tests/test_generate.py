@@ -120,6 +120,13 @@ class TestIngest:
         with pytest.raises(ValueError, match=message):
             ingest_response_matrix(text, sigmas=1.0)
 
+    @pytest.mark.parametrize("text,row", [("1,2\r3,4", 1), ("1,2,9\n\n5,5\r5,5", 3)])
+    def test_unreadable_csv_row_is_a_value_error(self, text, row):
+        # A lone carriage return inside the last row: loadtxt refuses the
+        # text and csv.reader raises its own error, which must not escape.
+        with pytest.raises(ValueError, match=f"row {row}: unreadable CSV"):
+            ingest_response_matrix(text)
+
     def test_empty_edge_warning_names_the_csv_row(self, caplog):
         with caplog.at_level(logging.WARNING):
             h = ingest_response_matrix("1,2,9\n\n5,5,5\n", sigmas=1.0)

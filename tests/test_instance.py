@@ -1,5 +1,7 @@
+import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,15 +9,15 @@ from hypothesis import strategies as st
 from mhskernel import (
     Hypergraph,
     InstanceError,
-    edges_of,
     generate_random,
     instance_size,
     parse_instance,
     serialize_instance,
     validate_feasibility,
 )
+from mhskernel import instance
 
-from conftest import CE_TEXT, singletons
+from conftest import CE_TEXT, edges_of, singletons
 
 
 def test_parse_minimal():
@@ -186,3 +188,163 @@ def test_constructor_rejects_bad_instances():
 
 def test_ce_text_matches_fixture(ce):
     assert parse_instance(CE_TEXT) == ce
+
+
+def _plain_text(rng: random.Random) -> str:
+    """A plain instance text (the kind serialize_instance writes), sometimes
+    with a budget, leading zeros or an 18-digit demand."""
+    n, m = rng.randint(0, 9), rng.choice([0, 1, 2, 3, 4, 5, 6])
+    header = ["p", "mhs", str(n), str(m)] + ([str(rng.randint(0, 12))] if rng.random() < 0.3 else [])
+    lines = [" ".join(header)]
+    for _ in range(m):
+        members = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        f = rng.choice([1, 1, 2, 3, 999999999999999999]) if members or rng.random() < 0.5 else 1
+        lines.append(" ".join(["e", str(f), *map(str, members)]))
+    if rng.random() < 0.1:
+        lines = [" ".join("0" * rng.randint(1, 3) + t if t.isdigit() else t for t in line.split()) for line in lines]
+    return "\n".join(lines) + "\n"
+
+
+def _retoken(rng: random.Random, text: str, new) -> str:
+    """``text`` with one number token, chosen at random, replaced by ``new(token)``."""
+    lines = text.split("\n")
+    spots = [(i, k) for i, line in enumerate(lines) for k, t in enumerate(line.split(" ")) if t.isdigit()]
+    if not spots:
+        return text
+    i, k = rng.choice(spots)
+    tokens = lines[i].split(" ")
+    tokens[k] = new(tokens[k])
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+def _edit_line(rng: random.Random, text: str, edit) -> str:
+    """``text`` with one edge line, chosen at random, replaced by ``edit(tokens)``."""
+    lines = text.split("\n")
+    spots = [i for i, line in enumerate(lines) if line.startswith("e ")]
+    if not spots:
+        return text
+    i = rng.choice(spots)
+    lines[i] = " ".join(edit(lines[i].split(" ")))
+    return "\n".join(lines)
+
+
+def _add_empty_edge(text: str) -> str:
+    """``text`` with an edge of demand 1 and no vertices after the header,
+    whose edge count goes up by one when it reads as a number."""
+    head, _, body = text.partition("\n")
+    tokens = head.split(" ")
+    if len(tokens) > 3 and tokens[3].isdigit():
+        tokens[3] = str(int(tokens[3]) + 1)
+    return " ".join(tokens) + "\ne 1\n" + body
+
+
+def _swap_two(tokens):
+    if len(tokens) > 3:
+        tokens[2], tokens[3] = tokens[3], tokens[2]
+    return tokens
+
+
+_PERTURBATIONS = [
+    lambda rng, t: _retoken(rng, t, lambda tok: "0" * (19 - len(tok)) + tok),  # overlong, same value
+    lambda rng, t: _retoken(rng, t, lambda tok: rng.choice(["99999999999999999999", str(2**63), str(10**18)])),
+    lambda rng, t: _retoken(rng, t, lambda tok: "+" + tok),
+    lambda rng, t: _retoken(rng, t, lambda tok: "-0"),
+    lambda rng, t: _retoken(rng, t, lambda tok: "1.5"),
+    lambda rng, t: _retoken(rng, t, lambda tok: "0"),  # demand 0, vertex 0, n 0 or m 0
+    lambda rng, t: _retoken(rng, t, lambda tok: str(int(tok) + 1)),  # a vertex above n, or a wrong count
+    lambda rng, t: t.replace(" ", "\t", 1) if rng.random() < 0.5 else t.replace(" ", "  ", 1),
+    lambda rng, t: t.replace("\n", "\r\n"),
+    lambda rng, t: t.replace("\n", "\n# a comment\n", 1) if rng.random() < 0.5 else "# first\n" + t,
+    lambda rng, t: t.replace("\n", "\n\n", 1),
+    lambda rng, t: t.replace("\n", " \n", 1),  # a trailing space
+    lambda rng, t: t.rstrip("\n"),  # no final newline
+    lambda rng, t: _add_empty_edge(t),
+    lambda rng, t: _edit_line(rng, t, _swap_two),  # unsorted vertices
+    lambda rng, t: _edit_line(rng, t, lambda tokens: tokens + tokens[2:3]),  # a duplicate vertex
+    lambda rng, t: _edit_line(rng, t, lambda tokens: tokens[:1]),  # "e" with no demand
+]
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except InstanceError as exc:
+        return str(exc), exc.line_no
+
+
+def test_plain_parse_matches_the_line_parser():
+    # Each text gives the line parser's instance on the plain path, or is
+    # refused there and then gets the same instance or message in the end.
+    rng = random.Random(30)
+    plain = refused = errors = 0
+    for _ in range(640):
+        text = _plain_text(rng)
+        for _ in range(rng.choice([0, 0, 1, 1, 2])):
+            text = rng.choice(_PERTURBATIONS)(rng, text)
+        expected = _parse_outcome(instance._parse_lines, text)
+        fast = instance._parse_plain(text)
+        if fast is None:
+            refused += 1
+            errors += not isinstance(expected, Hypergraph)
+        else:
+            plain += 1
+            assert isinstance(expected, Hypergraph), repr(text)
+            assert fast == expected and expected == fast, repr(text)
+            assert (fast.edges, fast.edge_bits) == (expected.edges, expected.edge_bits), repr(text)
+            assert serialize_instance(fast) == serialize_instance(expected)
+        assert _parse_outcome(parse_instance, text) == expected, repr(text)
+    # Both paths ran, and the line parser worded errors as well as read text.
+    assert plain > 200 and refused > 200 and 50 < errors < refused
+
+
+def test_plain_parse_never_enters_the_line_parser_on_canonical_text(monkeypatch):
+    def refuse(text):
+        raise AssertionError("line parser entered")
+
+    texts = [serialize_instance(generate_random(n=30, m=20 + seed, p=0.1, alpha=2, seed=seed)) for seed in range(5)]
+    monkeypatch.setattr(instance, "_parse_lines", refuse)
+    for text in texts:
+        assert parse_instance(text).m > 0
+
+
+def _arrays_of(h: Hypergraph, budget=None) -> Hypergraph:
+    return Hypergraph.from_arrays(h.n, np.array(h.indptr), np.array(h.words), h.demand, budget)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_array_and_tuple_builds_agree(seed):
+    h = generate_random(n=1 + seed % 9, m=seed % 7, p=0.4, alpha=1 + seed % 3, seed=seed)
+    for budget in (None, seed):
+        tuples = Hypergraph(h.n, h.edges, h.demand, budget)
+        arrays = _arrays_of(h, budget)
+        assert "edges" not in vars(arrays)
+        assert arrays == tuples and tuples == arrays and hash(arrays) == hash(tuples)
+        assert serialize_instance(arrays) == serialize_instance(tuples)
+        assert instance_size(arrays) == instance_size(tuples)
+        assert validate_feasibility(arrays) == validate_feasibility(tuples)
+        assert arrays.edge_bits == tuples.edge_bits and arrays.alpha == tuples.alpha
+        assert "edges" not in vars(arrays)  # none of the above derived the tuples
+        assert arrays.edges == tuples.edges
+    if h.m and h.n > 1:
+        moved = tuple(e if i else tuple(sorted({*e[1:], 1 + e[0] % h.n})) for i, e in enumerate(h.edges))
+        other = Hypergraph(h.n, moved, h.demand)
+        assert (other != _arrays_of(h)) == (other != h) == (moved != h.edges)
+        assert _arrays_of(h).with_budget(3) != _arrays_of(h)
+
+
+def test_array_build_is_frozen():
+    h = _arrays_of(Hypergraph(3, ((1, 2),), (1,)))
+    with pytest.raises(AttributeError):
+        h.n = 4
+    with pytest.raises(ValueError):
+        h.words[0] = 2
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("budget", [None, 0, 17])
+def test_canonical_text_round_trips(seed, budget):
+    h = generate_random(n=2 + seed, m=seed, p=0.3, alpha=1 + seed % 3, seed=seed).with_budget(budget)
+    text = serialize_instance(h)
+    assert serialize_instance(parse_instance(text)) == text
+    assert instance._parse_plain(text) == h

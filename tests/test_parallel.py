@@ -8,11 +8,9 @@ from mhskernel import (
     ActiveInstance,
     Hypergraph,
     PipelineSpec,
-    dominators,
     generate_random,
     incidence_matrix,
     matching_number,
-    md_applicable,
     par_kernelize,
     par_reduce_edges,
     par_reduce_vertices,
@@ -26,7 +24,15 @@ from mhskernel import (
 from mhskernel.bitmatrix import BLOCK_CELLS, PAIR_COST, _dense_counts, _sparse_counts
 from mhskernel.cli import main
 
-from conftest import brute_force_opt, dense_nested_instance, singletons
+from conftest import (
+    brute_force_opt,
+    dense_nested_instance,
+    dominators,
+    md_applicable,
+    singletons,
+    vertex_edges,
+    vertex_incidences,
+)
 
 
 def test_edge_phase_tie_breaks_duplicates():
@@ -153,9 +159,9 @@ def _single_pair_keep_vectors(h):
     ]
     vertex_keep = []
     for j in range(1, h.n + 1):
-        own = a.vertex_incidences(j)
+        own = vertex_incidences(a, j)
         need = max((h.demand[i - 1] for i in own), default=0)
-        ranked = [i for i in dominators(a, j) if a.vertex_incidences(i) != own or i < j]
+        ranked = [i for i in dominators(a, j) if vertex_incidences(a, i) != own or i < j]
         vertex_keep.append(need > 0 and len(ranked) < need)
     return edge_keep, vertex_keep
 
@@ -172,7 +178,7 @@ def test_matrix_product_path_agrees_with_popcount(seed):
     h = generate_random(n=2 + seed % 15, m=2 + (3 * seed) % 15, p=0.5, alpha=2, seed=seed)
     A = incidence_matrix(h)
     rows = [set(e) for e in h.edges]
-    cols = [set(v) for v in h.vertex_edges]
+    cols = [set(v) for v in vertex_edges(h)]
     popcounts = {(a, b): len(rows[a] & rows[b]) for a in range(h.m) for b in range(h.m)}
     for path in (_dense_counts, _sparse_counts):
         assert _counts(path(A.indptr, A.words, *A.columns)) == {k: c for k, c in popcounts.items() if c}

@@ -207,7 +207,7 @@ def test_sequential_counts_match_a_recount_around_every_phase(order, seed, monke
 @pytest.mark.parametrize("engine", ["sequential", "parallel"])
 def test_phases_read_the_overlay_through_its_masked_matrix(engine, monkeypatch):
     # fe, dp, se and md, and the sequential commits, read alive contents
-    # only from the masked matrix, never through the per-item tuple readers.
+    # only from the masked matrix, never through the per-edge tuple reader.
     # lp is left out: its single-edge reference builder reads tuples.  se
     # deletes nothing right after dp, so it also runs first.
     orders = (("fe", "dp", "se", "md"), ("se", "fe", "dp", "md"))
@@ -226,7 +226,6 @@ def test_phases_read_the_overlay_through_its_masked_matrix(engine, monkeypatch):
         raise AssertionError("alive contents read through a tuple reader")
 
     monkeypatch.setattr(ActiveInstance, "edge_members", no_tuples)
-    monkeypatch.setattr(ActiveInstance, "vertex_incidences", no_tuples)
     assert list(runs()) == expected
 
 

@@ -9,13 +9,11 @@ from mhskernel import (
     Hypergraph,
     PipelineSpec,
     build_pushed_subinstance,
-    dominators,
     exact_oracle,
     generate_random,
     incidence_matrix,
     init_state,
     lp_rule_applicable,
-    md_applicable,
     pushed_max_oracle,
     run_pipeline,
     seq_reduce_edges,
@@ -29,10 +27,13 @@ from mhskernel.rules import fe_pass, lp_pass
 from conftest import (
     brute_force_feasible,
     brute_force_opt,
+    dominators,
     fixpoint_fe,
+    md_applicable,
     naive_extract,
     rescan_lp_pass,
     singletons,
+    vertex_incidences,
 )
 
 
@@ -143,7 +144,7 @@ class TestMdApplicable:
             a = active(h)
             for j in range(1, 7):
                 assert md_applicable(a, j) == (
-                    len(dominators(a, j)) >= 1 or not a.vertex_incidences(j)
+                    len(dominators(a, j)) >= 1 or not vertex_incidences(a, j)
                 )
 
 

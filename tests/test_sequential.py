@@ -10,7 +10,6 @@ from mhskernel import (
     generate_random,
     incidence_matrix,
     init_state,
-    md_applicable,
     par_kernelize,
     par_reduce_edges,
     par_reduce_vertices,
@@ -24,7 +23,14 @@ from mhskernel.rules import fe_pass, lp_pass
 from mhskernel import bitmatrix
 from mhskernel.bitmatrix import BLOCK_CELLS
 
-from conftest import assert_candidates_sound, dense_nested_instance, overlay_copy, singletons
+from conftest import (
+    assert_candidates_sound,
+    dense_nested_instance,
+    md_applicable,
+    overlay_copy,
+    singletons,
+    vertex_edges,
+)
 
 
 def _flagged(mask) -> list[int]:
@@ -221,7 +227,7 @@ def test_candidate_insertions_stay_within_budget(seed):
     state = init_state(h)
     while seq_reduce_edges(state) + seq_reduce_vertices(state):
         pass
-    budget = h.n + h.m + sum(len(e) for e in h.edges) + sum(len(v) for v in h.vertex_edges)
+    budget = h.n + h.m + sum(len(e) for e in h.edges) + sum(len(v) for v in vertex_edges(h))
     assert state.insertions <= budget
 
 
