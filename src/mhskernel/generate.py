@@ -146,4 +146,4 @@ def ingest_response_matrix(
     indptr = np.zeros(sizes.size + 1, dtype=np.intp)
     np.cumsum(sizes, out=indptr[1:])
     demand = [min(alpha, size) for size in sizes.tolist()]
-    return Hypergraph.from_arrays(n, indptr, np.nonzero(inside[kept])[1], demand)
+    return Hypergraph._from_arrays(n, indptr, np.nonzero(inside[kept])[1], demand)

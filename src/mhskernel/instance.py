@@ -62,8 +62,9 @@ class Hypergraph:
             delimits the run of edge ``i + 1``.  Both are read-only.
 
     An instance built from tuples derives the arrays on first access, and
-    one built by :meth:`from_arrays` derives the tuples.  Equality, hashing
-    and every derived view agree whichever way it was built.
+    one built by :meth:`_from_arrays` derives the tuples.  Equality compares
+    the arrays, so it, hashing and every derived view agree whichever way an
+    instance was built.
     """
 
     def __init__(
@@ -78,7 +79,7 @@ class Hypergraph:
         self.__post_init__()
 
     @classmethod
-    def from_arrays(cls, n: int, indptr, words, demand: Iterable[int], budget: int | None = None) -> "Hypergraph":
+    def _from_arrays(cls, n: int, indptr, words, demand: Iterable[int], budget: int | None = None) -> "Hypergraph":
         """An instance from its row-compressed incidence matrix (see the
         class docstring) and per-edge demands as Python ints.  Only ``n`` is
         checked: the callers (the parser, ``ActiveInstance.extract`` and
@@ -94,7 +95,7 @@ class Hypergraph:
         if self.n > sys.maxsize:
             raise ValueError(f"vertex count must be at most {sys.maxsize}")
         if "edges" not in vars(self):
-            return  # from_arrays: checked by its caller
+            return  # _from_arrays: checked by its caller
         if len(self.edges) != len(self.demand):
             raise ValueError("one demand per edge required")
         for idx, (members, f) in enumerate(zip(self.edges, self.demand), start=1):
@@ -116,8 +117,6 @@ class Hypergraph:
             return NotImplemented
         if (self.n, self.demand, self.budget) != (other.n, other.demand, other.budget):
             return False
-        if "edges" in vars(self) and "edges" in vars(other):
-            return self.edges == other.edges
         return np.array_equal(self.indptr, other.indptr) and np.array_equal(self.words, other.words)
 
     def __hash__(self):
@@ -239,7 +238,7 @@ def _parse_plain(text: str) -> Hypergraph | None:
         return None
     indptr = np.zeros(m + 1, dtype=np.intp)
     np.cumsum(sizes, out=indptr[1:])
-    return Hypergraph.from_arrays(n, indptr, words, demand.tolist(), None if header[3] is None else int(header[3]))
+    return Hypergraph._from_arrays(n, indptr, words, demand.tolist(), None if header[3] is None else int(header[3]))
 
 
 def _parse_lines(text: str) -> Hypergraph:

@@ -86,7 +86,7 @@ class ActiveInstance:
         """
         matrix, vertex_ids, edge_ids = self.alive_matrix()
         demand = [self.demand[i] for i in edge_ids.tolist()]
-        sub = Hypergraph.from_arrays(matrix.cols, matrix.indptr, matrix.words, demand, self.h.budget)
+        sub = Hypergraph._from_arrays(matrix.cols, matrix.indptr, matrix.words, demand, self.h.budget)
         return sub, (vertex_ids + 1).tolist(), (edge_ids + 1).tolist()
 
 

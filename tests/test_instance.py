@@ -309,7 +309,7 @@ def test_plain_parse_never_enters_the_line_parser_on_canonical_text(monkeypatch)
 
 
 def _arrays_of(h: Hypergraph, budget=None) -> Hypergraph:
-    return Hypergraph.from_arrays(h.n, np.array(h.indptr), np.array(h.words), h.demand, budget)
+    return Hypergraph._from_arrays(h.n, np.array(h.indptr), np.array(h.words), h.demand, budget)
 
 
 @pytest.mark.parametrize("seed", range(20))
