@@ -8,13 +8,7 @@ round count, and an exact branch-and-bound solver for ground truth.
 
 from .bitmatrix import IncidenceMatrix, incidence_matrix
 from .generate import generate_random, ingest_response_matrix
-from .graphparams import (
-    compute_stats,
-    dilworth_number,
-    kernel_bound,
-    matching_number,
-    neighborhood_diversity,
-)
+from .graphparams import compute_stats
 from .instance import (
     FeasibilityReport,
     Hypergraph,
@@ -34,7 +28,6 @@ from .rules import (
     exact_oracle,
     lp_rule_applicable,
     pushed_max_oracle,
-    supersedes,
 )
 from .sequential import ReductionState, init_state, seq_reduce_edges, seq_reduce_vertices
 from .solver import Solution, SolveStatus, solve_opt, verify_solution
@@ -54,17 +47,13 @@ __all__ = [
     "SolveStatus",
     "build_pushed_subinstance",
     "compute_stats",
-    "dilworth_number",
     "exact_oracle",
     "generate_random",
     "incidence_matrix",
     "ingest_response_matrix",
     "init_state",
     "instance_size",
-    "kernel_bound",
     "lp_rule_applicable",
-    "matching_number",
-    "neighborhood_diversity",
     "par_kernelize",
     "par_reduce_edges",
     "par_reduce_vertices",
@@ -76,7 +65,6 @@ __all__ = [
     "seq_reduce_vertices",
     "serialize_instance",
     "solve_opt",
-    "supersedes",
     "validate_feasibility",
     "verify_solution",
 ]

@@ -18,9 +18,8 @@ takes the vertices as its left side and their edges from the matrix's
 columns.
 
 :func:`compute_stats` builds the matrix once for all requested
-parameters and is the only route to them; the single-parameter
-functions, :func:`kernel_bound` and the pipeline's bound fields read them
-through it.
+parameters and is the only route to them; the pipeline's bound fields
+read them through it.
 """
 
 from __future__ import annotations
@@ -137,7 +136,15 @@ def compute_stats(h: Hypergraph, which: set[str]) -> dict[str, int]:
     """Requested parameters of the instance's incidence graph, read off one
     incidence matrix.
 
-    ``which`` is a subset of :data:`STATS`.
+    ``which`` is a subset of :data:`STATS`:
+
+    * ``dilworth``: the minimum number of chains of the
+      neighborhood-containment preorder covering all nodes, which equals
+      the largest antichain (0 for the empty instance);
+    * ``diversity``: the number of classes of twins, nodes ``a`` and ``b``
+      with ``N(a) - {b} == N(b) - {a}``, adjacent or not;
+    * ``matching``: the maximum number of pairwise disjoint edges;
+    * ``size``: :func:`~.instance.instance_size`.
     """
     unknown = which - set(STATS)
     if unknown:
@@ -159,33 +166,3 @@ def compute_stats(h: Hypergraph, which: set[str]) -> dict[str, int]:
             adjacency = {j: members[colptr[j] : colptr[j + 1]].tolist() for j in range(h.n)}
             out["matching"] = _hopcroft_karp(list(range(h.n)), adjacency)
     return out
-
-
-def dilworth_number(h: Hypergraph) -> int:
-    """Minimum number of chains of the neighborhood-containment preorder of
-    the incidence graph covering all its nodes; equals the largest
-    antichain.  0 for the empty instance."""
-    return compute_stats(h, {"dilworth"})["dilworth"]
-
-
-def neighborhood_diversity(h: Hypergraph) -> int:
-    """Number of classes of incidence-graph nodes with identical
-    neighborhoods up to each other (adjacent twins and non-adjacent twins
-    both collapse).
-
-    ``a`` and ``b`` are twins, ``N(a) - {b} == N(b) - {a}``, exactly when
-    each lies below the other in the containment preorder, so these are
-    the classes :func:`dilworth_number` builds.
-    """
-    return compute_stats(h, {"diversity"})["diversity"]
-
-
-def matching_number(h: Hypergraph) -> int:
-    """Maximum number of pairwise disjoint edges of the incidence graph."""
-    return compute_stats(h, {"matching"})["matching"]
-
-
-def kernel_bound(h: Hypergraph) -> int:
-    """Size bound ``2 * alpha * dilworth(incidence graph)`` guaranteed for
-    the reduced instance after one edge phase followed by one vertex phase."""
-    return 2 * h.alpha * dilworth_number(h)

@@ -23,7 +23,7 @@ import re
 import sys
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable
 
 import numpy as np
@@ -51,60 +51,72 @@ class Hypergraph:
 
     Attributes:
         n: number of vertices (ids ``1..n``).
-        edges: per edge, a strictly increasing tuple of vertex ids.
-        demand: per edge, the required number of hits (``>= 1``).
-        budget: optional solution-size budget.  May go negative in
-            intermediate reduction results; negative budgets are reported
-            as infeasible by :func:`validate_feasibility`.
         indptr, words: the row-compressed incidence matrix.  ``words``
             lists the 0-based vertex of every incidence, edge by edge and
             increasing within an edge, and ``indptr[i]:indptr[i + 1]``
             delimits the run of edge ``i + 1``.  Both are read-only.
+        demand: per edge, the required number of hits (``>= 1``), as a
+            tuple of ints.
+        budget: optional solution-size budget.  May go negative in
+            intermediate reduction results; negative budgets are reported
+            as infeasible by :func:`validate_feasibility`.
 
-    An instance built from tuples derives the arrays on first access, and
-    one built by :meth:`_from_arrays` derives the tuples.  Equality compares
-    the arrays, so it, hashing and every derived view agree whichever way an
-    instance was built.
+    These five are all an instance stores, whichever constructor built it.
+    ``edges`` (per edge, a strictly increasing tuple of vertex ids) and
+    ``edge_bits`` are views derived from the arrays on first use.
     """
 
     def __init__(
         self,
         n: int,
-        edges: tuple[tuple[int, ...], ...],
-        demand: tuple[int, ...],
+        edges: Iterable[Iterable[int]],
+        demand: Iterable[int],
         budget: int | None = None,
     ):
-        fields = vars(self)
-        fields["n"], fields["edges"], fields["demand"], fields["budget"] = n, edges, demand, budget
+        vars(self)["n"] = n
         self.__post_init__()
+        edges, demand = tuple(edges), tuple(demand)
+        if len(edges) != len(demand):
+            raise ValueError("one demand per edge required")
+        rows, demands = [], []
+        for idx, (row, f) in enumerate(zip(edges, demand), start=1):
+            try:
+                f, row = operator.index(f), tuple(map(operator.index, row))
+            except TypeError:
+                raise ValueError(f"edge {idx}: demand and vertex ids must be integers, got {f!r} and {row!r}") from None
+            if f < 1:
+                raise ValueError(f"edge {idx}: demand must be positive, got {f}")
+            if not all(map(operator.lt, row, row[1:])):
+                raise ValueError(f"edge {idx}: vertices must be strictly increasing")
+            if row and (row[0] < 1 or row[-1] > n):
+                raise ValueError(f"edge {idx}: vertex id out of range 1..{n}")
+            rows.append(row)
+            demands.append(f)
+        indptr = np.fromiter(accumulate(map(len, rows), initial=0), dtype=np.intp, count=len(rows) + 1)
+        words = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=int(indptr[-1]))
+        words -= 1
+        vars(self).update(indptr=_frozen(indptr), words=_frozen(words), demand=tuple(demands), budget=budget)
 
     @classmethod
     def _from_arrays(cls, n: int, indptr, words, demand: Iterable[int], budget: int | None = None) -> "Hypergraph":
         """An instance from its row-compressed incidence matrix (see the
         class docstring) and per-edge demands as Python ints.  Only ``n`` is
-        checked: the callers (the parser, ``ActiveInstance.extract`` and
-        ingest) pass arrays that already hold every other invariant."""
+        checked: the callers (the parser, ``ActiveInstance.extract``, lp's
+        ``build_pushed_subinstance`` and ingest) pass arrays that already
+        hold every other invariant."""
         h = object.__new__(cls)
-        vars(h).update(n=n, indptr=_frozen(indptr), words=_frozen(words), demand=tuple(demand), budget=budget)
+        vars(h)["n"] = n
         h.__post_init__()
+        vars(h).update(indptr=_frozen(indptr), words=_frozen(words), demand=tuple(demand), budget=budget)
         return h
 
     def __post_init__(self):
+        """Check the vertex count; each constructor calls this once, before
+        it stores the arrays."""
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
         if self.n > sys.maxsize:
             raise ValueError(f"vertex count must be at most {sys.maxsize}")
-        if "edges" not in vars(self):
-            return  # _from_arrays: checked by its caller
-        if len(self.edges) != len(self.demand):
-            raise ValueError("one demand per edge required")
-        for idx, (members, f) in enumerate(zip(self.edges, self.demand), start=1):
-            if f < 1:
-                raise ValueError(f"edge {idx}: demand must be positive, got {f}")
-            if not all(map(operator.lt, members, members[1:])):
-                raise ValueError(f"edge {idx}: vertices must be strictly increasing")
-            if members and (members[0] < 1 or members[-1] > self.n):
-                raise ValueError(f"edge {idx}: vertex id out of range 1..{self.n}")
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -125,31 +137,10 @@ class Hypergraph:
     def __repr__(self):
         return f"Hypergraph(n={self.n!r}, edges={self.edges!r}, demand={self.demand!r}, budget={self.budget!r})"
 
-    @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        edges: Iterable[Iterable[int]],
-        demand: Iterable[int],
-        budget: int | None = None,
-    ) -> "Hypergraph":
-        """Build an instance, sorting each edge's vertex list.
-
-        Duplicate vertices within an edge are rejected; duplicate edges are
-        allowed (reduction rules resolve them by index tie-breaking).
-        """
-        canon = []
-        for idx, members in enumerate(edges, start=1):
-            mem = sorted(members)
-            if any(mem[i] == mem[i + 1] for i in range(len(mem) - 1)):
-                raise ValueError(f"edge {idx}: duplicate vertex")
-            canon.append(tuple(mem))
-        return cls(n, tuple(canon), tuple(demand), budget)
-
     def with_budget(self, budget: int | None) -> "Hypergraph":
-        """The same instance with ``budget``, sharing every derived view."""
+        """The same instance with ``budget``, sharing the arrays."""
         h = object.__new__(self.__class__)
-        vars(h).update(vars(self), budget=budget)
+        vars(h).update(n=self.n, indptr=self.indptr, words=self.words, demand=self.demand, budget=budget)
         return h
 
     @property
@@ -167,29 +158,14 @@ class Hypergraph:
         return tuple(tuple(members[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
     @cached_property
-    def indptr(self) -> np.ndarray:
-        indptr = np.zeros(self.m + 1, dtype=np.intp)
-        np.cumsum(np.fromiter(map(len, self.edges), dtype=np.intp, count=self.m), out=indptr[1:])
-        return _frozen(indptr)
-
-    @cached_property
-    def words(self) -> np.ndarray:
-        words = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=int(self.indptr[-1]))
-        return _frozen(words - 1)
-
-    @cached_property
     def edge_bits(self) -> tuple[int, ...]:
         """Per edge, a bitset of its vertices (vertex j maps to bit j-1)."""
-        if "edges" in vars(self):
-            rows, first = self.edges, 1
-        else:
-            columns, bounds = self.words.tolist(), self.indptr.tolist()
-            rows, first = (columns[lo:hi] for lo, hi in zip(bounds, bounds[1:])), 0
+        columns, bounds = self.words.tolist(), self.indptr.tolist()
         out = []
-        for members in rows:
+        for lo, hi in zip(bounds, bounds[1:]):
             bits = 0
-            for j in members:
-                bits |= 1 << (j - first)
+            for j in columns[lo:hi]:
+                bits |= 1 << j
             out.append(bits)
         return tuple(out)
 

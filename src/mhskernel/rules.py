@@ -90,18 +90,6 @@ class ActiveInstance:
         return sub, (vertex_ids + 1).tolist(), (edge_ids + 1).tolist()
 
 
-def supersedes(active: ActiveInstance, i: int, j: int) -> bool:
-    """Whether edge ``i`` pushes at least ``f(j)`` demand into edge ``j``,
-    i.e. ``f(i) - |i \\ j| >= f(j)`` over current contents."""
-    if i == j:
-        raise ValueError("supersedence is checked between distinct edges")
-    active.require_edge(i)
-    active.require_edge(j)
-    in_j = set(active.edge_members(j))
-    only_i = sum(1 for v in active.edge_members(i) if v not in in_j)
-    return active.demand[i - 1] - only_i >= active.demand[j - 1]
-
-
 def superseding(common, size_i, f_i, id_i, size_j, f_j, id_j, rule: str = "dp"):
     """Elementwise: whether edge ``i`` deletes edge ``j`` in an edge phase.
 
@@ -181,19 +169,21 @@ def build_pushed_subinstance(active: ActiveInstance, j: int) -> tuple[Hypergraph
     """
     active.require_edge(j)
     base = active.edge_members(j)
-    new_id = {v: k + 1 for k, v in enumerate(base)}
-    edges = []
-    demand = []
+    column = {v: k for k, v in enumerate(base)}
+    indptr, words, demand = [0], [], []
     for i in active.alive_edge_ids():
         if i == j:
             continue
         members = active.edge_members(i)
-        common = tuple(v for v in members if v in new_id)
+        common = [column[v] for v in members if v in column]
         pushed = active.demand[i - 1] - (len(members) - len(common))
         if pushed >= 1:
-            edges.append(tuple(new_id[v] for v in common))
+            words.extend(common)
+            indptr.append(len(words))
             demand.append(pushed)
-    return Hypergraph(len(base), tuple(edges), tuple(demand)), list(base)
+    # Each row is increasing and in range, since ``base`` and every edge's
+    # members are, and every demand is positive: the arrays are valid as built.
+    return Hypergraph._from_arrays(len(base), indptr, words, demand), list(base)
 
 
 LowerBoundOracle = Callable[[Hypergraph], int]

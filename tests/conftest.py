@@ -48,6 +48,13 @@ def ce() -> Hypergraph:
     return parse_instance(CE_TEXT)
 
 
+def from_edges(n: int, edges, demand, budget: int | None = None) -> Hypergraph:
+    """An instance from unsorted vertex lists.  Each edge is sorted, so the
+    constructor refuses only a duplicate vertex within an edge (duplicate
+    edges are fine)."""
+    return Hypergraph(n, [sorted(members) for members in edges], demand, budget)
+
+
 def singletons(n: int) -> Hypergraph:
     """n disjoint singleton edges with unit demands (the tight family)."""
     return Hypergraph(n, tuple((j,) for j in range(1, n + 1)), (1,) * n)
@@ -76,7 +83,7 @@ def dense_nested_instance(seed: int) -> Hypergraph:
     base = generate_random(n=100, m=150, p=0.5, alpha=2, seed=seed)
     tripled = [tuple(3 * v - k for v in e for k in (2, 1, 0)) for e in base.edges]
     extra = [tuple(sorted(set(tripled[i]) | set(tripled[(i + 1) % 150]))) for i in range(150)]
-    return Hypergraph.from_edges(300, tripled + extra, list(base.demand) * 2)
+    return from_edges(300, tripled + extra, list(base.demand) * 2)
 
 
 def overlay_copy(active):
@@ -129,6 +136,19 @@ def require_vertex(active, j: int) -> None:
 def vertex_incidences(active, j: int) -> tuple[int, ...]:
     """Alive edges of an ``ActiveInstance`` containing vertex ``j``."""
     return tuple(i for i in vertex_edges(active.h)[j - 1] if active.edge_alive[i - 1])
+
+
+def supersedes(active, i: int, j: int) -> bool:
+    """Whether edge ``i`` pushes at least ``f(j)`` demand into edge ``j`` of
+    an ``ActiveInstance``, i.e. ``f(i) - |i \\ j| >= f(j)`` over current
+    contents: the demand-pushing rule for one pair, the engines' reference."""
+    if i == j:
+        raise ValueError("supersedence is checked between distinct edges")
+    active.require_edge(i)
+    active.require_edge(j)
+    in_j = set(active.edge_members(j))
+    only_i = sum(1 for v in active.edge_members(i) if v not in in_j)
+    return active.demand[i - 1] - only_i >= active.demand[j - 1]
 
 
 def dominators(active, j: int) -> frozenset[int]:
@@ -348,7 +368,7 @@ def random_hypergraph(seed: int, max_nodes: int = 12) -> Hypergraph:
     n = rng.randint(0, nodes)
     p = rng.choice([0.15, 0.3, 0.5, 0.8])
     edges = [[j for j in range(1, n + 1) if rng.random() < p] for _ in range(nodes - n)]
-    return Hypergraph.from_edges(n, edges, [1] * len(edges))
+    return from_edges(n, edges, [1] * len(edges))
 
 
 def mixed_hypergraph(seed: int) -> Hypergraph:
@@ -377,12 +397,12 @@ def mixed_hypergraph(seed: int) -> Hypergraph:
     label = list(range(1, n + 1))
     rng.shuffle(label)
     rng.shuffle(edges)
-    return Hypergraph.from_edges(n, [[label[v] for v in e] for e in edges], [1] * len(edges))
+    return from_edges(n, [[label[v] for v in e] for e in edges], [1] * len(edges))
 
 
 def complete_bipartite(a: int, b: int) -> Hypergraph:
     """``b`` copies of the edge ``{1..a}``: the incidence graph is ``K_{a,b}``."""
-    return Hypergraph.from_edges(a, [range(1, a + 1)] * b, [1] * b)
+    return from_edges(a, [range(1, a + 1)] * b, [1] * b)
 
 
 def nested_hypergraph(n: int) -> Hypergraph:
@@ -393,7 +413,7 @@ def nested_hypergraph(n: int) -> Hypergraph:
     vertex, so for n >= 2 two chains cover everything while no two nodes
     are twins.
     """
-    return Hypergraph.from_edges(n, [range(1, i + 1) for i in range(1, n + 1)], [1] * n)
+    return from_edges(n, [range(1, i + 1) for i in range(1, n + 1)], [1] * n)
 
 
 def response_matrix_csv(seed: int, rows: int, cols: int, modules: int) -> str:

@@ -19,18 +19,15 @@ from mhskernel import (
     Hypergraph,
     PipelineSpec,
     SolveStatus,
-    dilworth_number,
+    compute_stats,
     generate_random,
+    incidence_matrix,
     init_state,
-    matching_number,
-    neighborhood_diversity,
     par_kernelize,
     par_reduce_vertices,
-    incidence_matrix,
     run_pipeline,
     seq_kernelize,
     solve_opt,
-    supersedes,
 )
 from mhskernel.sequential import seq_reduce_edges, seq_reduce_vertices
 
@@ -46,6 +43,7 @@ from conftest import (
     nested_hypergraph,
     random_hypergraph,
     singletons,
+    supersedes,
 )
 
 
@@ -74,7 +72,7 @@ def equivalence_runs():
         )
         seq = seq_kernelize(h)
         par = par_kernelize(h)
-        nu = matching_number(h)
+        nu = compute_stats(h, {"matching"})["matching"]
         runs.append((h, seq, par, nu))
     return runs
 
@@ -197,13 +195,14 @@ def test_criterion_8_parameter_family():
     with verdict("criterion 8 (chain-cover number vs diversity and antichain oracle)"):
         for n in range(1, 9):
             h = nested_hypergraph(n)
-            assert dilworth_number(h) == (2 if n > 1 else 1) == naive_dilworth(incidence_graph(h))
-            assert neighborhood_diversity(h) == (2 * n if n > 1 else 1) == naive_diversity(incidence_graph(h))
+            stats = compute_stats(h, {"dilworth", "diversity"})
+            assert stats["dilworth"] == (2 if n > 1 else 1) == naive_dilworth(incidence_graph(h))
+            assert stats["diversity"] == (2 * n if n > 1 else 1) == naive_diversity(incidence_graph(h))
         for seed in range(100):
             h = random_hypergraph(seed)
-            nabla = dilworth_number(h)
-            assert nabla <= neighborhood_diversity(h)
-            assert nabla == brute_force_max_antichain(incidence_graph(h))
+            stats = compute_stats(h, {"dilworth", "diversity"})
+            assert stats["dilworth"] <= stats["diversity"]
+            assert stats["dilworth"] == brute_force_max_antichain(incidence_graph(h))
 
 
 def test_criterion_9_incremental_state_soundness():

@@ -5,13 +5,11 @@ import pytest
 
 from mhskernel import (
     Hypergraph,
+    PipelineSpec,
     compute_stats,
-    dilworth_number,
     generate_random,
     ingest_response_matrix,
-    kernel_bound,
-    matching_number,
-    neighborhood_diversity,
+    run_pipeline,
 )
 from mhskernel import bitmatrix, graphparams
 from mhskernel.bitmatrix import BLOCK_CELLS
@@ -21,6 +19,7 @@ from conftest import (
     brute_force_matching,
     brute_force_max_antichain,
     complete_bipartite,
+    from_edges,
     incidence_graph,
     mixed_hypergraph,
     naive_dilworth,
@@ -90,35 +89,37 @@ def test_vinical_transitive_on_random_triples():
 def test_nested_neighborhood_family(n):
     h = nested_hypergraph(n)
     g = incidence_graph(h)
-    assert dilworth_number(h) == (2 if n > 1 else 1) == naive_dilworth(g)
-    assert neighborhood_diversity(h) == (2 * n if n > 1 else 1) == naive_diversity(g)
+    stats = compute_stats(h, {"dilworth", "diversity"})
+    assert stats["dilworth"] == (2 if n > 1 else 1) == naive_dilworth(g)
+    assert stats["diversity"] == (2 * n if n > 1 else 1) == naive_diversity(g)
 
 
 def test_dilworth_examples():
-    assert dilworth_number(Hypergraph(1, (), ())) == 1
-    assert dilworth_number(Hypergraph(0, (), ())) == 0
+    assert compute_stats(Hypergraph(1, (), ()), {"dilworth"})["dilworth"] == 1
+    assert compute_stats(Hypergraph(0, (), ()), {"dilworth"})["dilworth"] == 0
     for n in (1, 2, 5):
-        assert dilworth_number(singletons(n)) == n
+        assert compute_stats(singletons(n), {"dilworth"})["dilworth"] == n
 
 
 def test_diversity_examples():
     # K_{3,4}: the vertices are twins and so are the edges, and neither
     # side lies below the other.
     k34 = complete_bipartite(3, 4)
-    assert neighborhood_diversity(k34) == 2 == naive_diversity(incidence_graph(k34))
-    assert dilworth_number(k34) == 2 == naive_dilworth(incidence_graph(k34))
+    stats = compute_stats(k34, {"dilworth", "diversity"})
+    assert stats["diversity"] == 2 == naive_diversity(incidence_graph(k34))
+    assert stats["dilworth"] == 2 == naive_dilworth(incidence_graph(k34))
     # In the incidence graph of two disjoint singletons each hyperedge node
     # and its single vertex are adjacent twins, leaving two classes.
-    assert neighborhood_diversity(singletons(2)) == 2
+    assert compute_stats(singletons(2), {"diversity"})["diversity"] == 2
 
 
 @pytest.mark.parametrize("seed", range(100))
 def test_dilworth_vs_diversity_and_antichain_oracle(seed):
     h = random_hypergraph(seed)
-    nabla = dilworth_number(h)
-    assert nabla <= neighborhood_diversity(h)
-    assert nabla == brute_force_max_antichain(incidence_graph(h))
-    assert matching_number(h) == brute_force_matching(incidence_graph(h))
+    stats = compute_stats(h, {"dilworth", "diversity", "matching"})
+    assert stats["dilworth"] <= stats["diversity"]
+    assert stats["dilworth"] == brute_force_max_antichain(incidence_graph(h))
+    assert stats["matching"] == brute_force_matching(incidence_graph(h))
 
 
 def test_quotient_strict_order_is_acyclic():
@@ -144,36 +145,40 @@ def test_quotient_strict_order_is_acyclic():
 
 def test_matching_examples(ce):
     for n in (1, 3, 6):
-        assert matching_number(singletons(n)) == n
-    assert matching_number(ce) == 3
-    assert matching_number(ce) == brute_force_matching(incidence_graph(ce))
-    assert matching_number(Hypergraph(0, (), ())) == 0
-    assert matching_number(Hypergraph(2, ((), ()), (1, 1))) == 0
+        assert compute_stats(singletons(n), {"matching"})["matching"] == n
+    assert compute_stats(ce, {"matching"})["matching"] == 3
+    assert compute_stats(ce, {"matching"})["matching"] == brute_force_matching(incidence_graph(ce))
+    assert compute_stats(Hypergraph(0, (), ()), {"matching"})["matching"] == 0
+    assert compute_stats(Hypergraph(2, ((), ()), (1, 1)), {"matching"})["matching"] == 0
     k34 = complete_bipartite(3, 4)
-    assert matching_number(k34) == 3 == brute_force_matching(incidence_graph(k34))
+    assert compute_stats(k34, {"matching"})["matching"] == 3 == brute_force_matching(incidence_graph(k34))
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_matching_against_bruteforce_random(seed):
     rng = random.Random(seed)
     edges = [sorted(rng.sample(range(1, 6), rng.randint(1, 3))) for _ in range(rng.randint(1, 5))]
-    h = Hypergraph.from_edges(5, edges, [1] * len(edges))
-    assert matching_number(h) == brute_force_matching(incidence_graph(h))
+    h = from_edges(5, edges, [1] * len(edges))
+    assert compute_stats(h, {"matching"})["matching"] == brute_force_matching(incidence_graph(h))
 
 
 def test_kernel_bound(ce):
+    def bound(h):
+        return run_pipeline(h, PipelineSpec(("dp", "md")), compute_bounds=True)[1].bound_2_alpha_nabla
+
     for n in (1, 4, 7):
-        assert kernel_bound(singletons(n)) == 2 * n
-    assert kernel_bound(Hypergraph(0, (), ())) == 0
-    nabla = dilworth_number(ce)
-    assert kernel_bound(ce) == 2 * 2 * nabla
+        assert bound(singletons(n)) == 2 * n
+    assert bound(Hypergraph(0, (), ())) == 0
+    nabla = compute_stats(ce, {"dilworth"})["dilworth"]
+    assert bound(ce) == 2 * 2 * nabla
     assert nabla == 4  # frozen from the antichain oracle
 
 
 def assert_matches_oracles(h):
     g = incidence_graph(h)
-    assert dilworth_number(h) == naive_dilworth(g)
-    assert neighborhood_diversity(h) == naive_diversity(g)
+    stats = compute_stats(h, {"dilworth", "diversity"})
+    assert stats["dilworth"] == naive_dilworth(g)
+    assert stats["diversity"] == naive_diversity(g)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -219,7 +224,7 @@ def planted_dense_hypergraph(seed: int, half: int = 75, p: float = 0.5) -> Hyper
             base = {v for v in edges[i] if v < half and rng.random() < 0.9}
             kept = base | {half + v for v in base if half + v in edges[i]}
         edges.append(set(kept))
-    return Hypergraph.from_edges(2 * half, [[v + 1 for v in e] for e in edges], [1] * len(edges))
+    return from_edges(2 * half, [[v + 1 for v in e] for e in edges], [1] * len(edges))
 
 
 def test_parameters_match_oracles_on_dense_graph(monkeypatch):
@@ -229,7 +234,8 @@ def test_parameters_match_oracles_on_dense_graph(monkeypatch):
         raise AssertionError("expected the dense bit-row path")
 
     monkeypatch.setattr(bitmatrix, "_sparse_counts", no_sparse_path)
-    nabla, diversity = dilworth_number(h), neighborhood_diversity(h)
+    stats = compute_stats(h, {"dilworth", "diversity"})
+    nabla, diversity = stats["dilworth"], stats["diversity"]
     g = incidence_graph(h)
     assert nabla == naive_dilworth(g)
     assert diversity == naive_diversity(g)
@@ -241,11 +247,11 @@ def test_parameter_temporaries_stay_bounded_on_sparse_graph():
     # this incidence graph alone (18 MB) would break the bound.
     n = 1500
     rng = random.Random(7)
-    h = Hypergraph.from_edges(n // 2, [rng.sample(range(1, n // 2 + 1), 4) for _ in range(n // 2)], [1] * (n // 2))
+    h = from_edges(n // 2, [rng.sample(range(1, n // 2 + 1), 4) for _ in range(n // 2)], [1] * (n // 2))
     tracemalloc.start()
     try:
-        dilworth_number(h)
-        neighborhood_diversity(h)
+        compute_stats(h, {"dilworth"})
+        compute_stats(h, {"diversity"})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -17,7 +17,7 @@ from mhskernel import (
 )
 from mhskernel import instance
 
-from conftest import CE_TEXT, edges_of, singletons
+from conftest import CE_TEXT, edges_of, from_edges, singletons
 
 
 def test_parse_minimal():
@@ -166,10 +166,10 @@ def test_validate_feasibility(ce):
 
 
 def test_from_edges_normalizes_and_rejects_duplicates():
-    h = Hypergraph.from_edges(4, [[3, 1], [2, 4]], [1, 2])
+    h = from_edges(4, [[3, 1], [2, 4]], [1, 2])
     assert h.edges == ((1, 3), (2, 4))
     with pytest.raises(ValueError):
-        Hypergraph.from_edges(4, [[1, 1]], [1])
+        from_edges(4, [[1, 1]], [1])
 
 
 def test_constructor_rejects_bad_instances():
@@ -184,6 +184,65 @@ def test_constructor_rejects_bad_instances():
     with pytest.raises(ValueError, match=f"at most {sys.maxsize}"):
         Hypergraph(sys.maxsize + 1, (), ())  # vertex count beyond any index
     assert Hypergraph(sys.maxsize, (), ()).n == sys.maxsize
+
+
+def test_constructor_stores_tuples_of_ints():
+    listed = Hypergraph(3, [[1, 2], [2, 3]], [1, np.int64(2)])
+    tupled = Hypergraph(3, ((1, 2), (2, 3)), (1, 2))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed.demand == (1, 2) and all(type(f) is int for f in listed.demand)
+    assert listed.edges == ((1, 2), (2, 3))
+    assert Hypergraph(2, ((1, 2),), [1]) == Hypergraph(2, ((1, 2),), (1,))
+
+
+@pytest.mark.parametrize(
+    "edges,demand,message",
+    [
+        (((1, 2.5),), (1,), "edge 1: demand and vertex ids must be integers, got 1 and (1, 2.5)"),
+        (((1,), (1, 2.0)), (1, 1), "edge 2: demand and vertex ids must be integers, got 1 and (1, 2.0)"),
+        (((1, "2"),), (1,), "edge 1: demand and vertex ids must be integers, got 1 and (1, '2')"),
+        (((1, 2),), (1.5,), "edge 1: demand and vertex ids must be integers, got 1.5 and (1, 2)"),
+        (((1,), (2,)), (1, 1.0), "edge 2: demand and vertex ids must be integers, got 1.0 and (2,)"),
+    ],
+    ids=["float-vertex", "float-vertex-in-edge-2", "str-vertex", "float-demand", "float-demand-of-edge-2"],
+)
+def test_constructor_rejects_non_integers(edges, demand, message):
+    with pytest.raises(ValueError) as err:
+        Hypergraph(3, edges, demand)
+    assert str(err.value) == message
+
+
+def test_vertex_count_is_checked_before_the_edges():
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        Hypergraph(-1, ((1,),), (1,))
+    with pytest.raises(ValueError, match=f"at most {sys.maxsize}"):
+        Hypergraph(sys.maxsize + 2, ((sys.maxsize + 1,),), (1,))
+
+
+_FIELDS = {"n", "indptr", "words", "demand", "budget"}
+
+
+def _state(h: Hypergraph) -> dict:
+    return {name: value.tolist() if isinstance(value, np.ndarray) else value for name, value in vars(h).items()}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_both_constructors_store_only_the_arrays(seed, monkeypatch):
+    builds = []
+    post_init = Hypergraph.__post_init__
+    monkeypatch.setattr(Hypergraph, "__post_init__", lambda h: builds.append(h.n) or post_init(h))
+    h = generate_random(n=1 + seed, m=seed % 7, p=0.4, alpha=1 + seed % 3, seed=seed)
+    arrays = _arrays_of(h, seed)
+    assert set(vars(h)) == set(vars(arrays)) == _FIELDS
+    tuples = Hypergraph(h.n, h.edges, h.demand, seed)
+    assert set(vars(tuples)) == _FIELDS
+    assert builds == [h.n] * 3
+    assert _state(tuples) == _state(arrays)
+    assert tuples.edge_bits == arrays.edge_bits
+    # Derived views stay with the instance that derived them.
+    assert set(vars(h)) == _FIELDS | {"edges"} and set(vars(tuples)) == _FIELDS | {"edge_bits"}
+    assert set(vars(h.with_budget(None))) == set(vars(tuples.with_budget(seed + 1))) == _FIELDS
+    assert builds == [h.n] * 3  # with_budget copies without building
 
 
 def test_ce_text_matches_fixture(ce):

@@ -8,9 +8,9 @@ from mhskernel import (
     ActiveInstance,
     Hypergraph,
     PipelineSpec,
+    compute_stats,
     generate_random,
     incidence_matrix,
-    matching_number,
     par_kernelize,
     par_reduce_edges,
     par_reduce_vertices,
@@ -18,7 +18,6 @@ from mhskernel import (
     seq_kernelize,
     serialize_instance,
     solve_opt,
-    supersedes,
 )
 
 from mhskernel.bitmatrix import BLOCK_CELLS, PAIR_COST, _dense_counts, _sparse_counts
@@ -28,8 +27,10 @@ from conftest import (
     brute_force_opt,
     dense_nested_instance,
     dominators,
+    from_edges,
     md_applicable,
     singletons,
+    supersedes,
     vertex_edges,
     vertex_incidences,
 )
@@ -47,23 +48,23 @@ def test_edge_phase_ce_deletes_nothing(ce):
 
 
 def test_edge_phase_one_way_supersedence():
-    h = Hypergraph.from_edges(4, [[1, 2, 3], [3, 4]], [3, 1])
+    h = from_edges(4, [[1, 2, 3], [3, 4]], [3, 1])
     keep = par_reduce_edges(incidence_matrix(h), h.demand)
     assert keep == [True, False]
 
 
 def test_edge_phase_se_variant():
     # containment with lower demand must NOT fire under the superedge rule
-    h = Hypergraph.from_edges(3, [[1, 2], [1, 2, 3]], [1, 2])
+    h = from_edges(3, [[1, 2], [1, 2, 3]], [1, 2])
     assert par_reduce_edges(incidence_matrix(h), h.demand, rule="se") == [True, True]
-    equal = Hypergraph.from_edges(3, [[1, 2], [1, 2, 3]], [2, 2])
+    equal = from_edges(3, [[1, 2], [1, 2, 3]], [2, 2])
     assert par_reduce_edges(incidence_matrix(equal), equal.demand, rule="se") == [True, False]
     with pytest.raises(ValueError):
         par_reduce_edges(incidence_matrix(h), h.demand, rule="w2")
 
 
 def test_vertex_phase_dominated_tail():
-    h = Hypergraph.from_edges(4, [[1, 2, 3], [1, 2, 3, 4]], [2, 2])
+    h = from_edges(4, [[1, 2, 3], [1, 2, 3, 4]], [2, 2])
     keep = par_reduce_vertices(incidence_matrix(h), h.demand)
     assert keep == [True, True, False, False]
 
@@ -77,7 +78,7 @@ def test_vertex_phase_ce_protects_vertex_three(ce):
 
 
 def test_vertex_phase_unit_demand_domination():
-    h = Hypergraph.from_edges(3, [[1, 2], [1, 3]], [1, 1])
+    h = from_edges(3, [[1, 2], [1, 3]], [1, 1])
     # every edge with vertex 2 or 3 also has vertex 1
     keep = par_reduce_vertices(incidence_matrix(h), h.demand)
     assert keep == [True, False, False]
@@ -121,7 +122,7 @@ def test_kernelize_rejects_infeasible():
 
 def test_kernelize_se_variant_is_weaker():
     # demand pushing removes the partially overlapped edge; containment cannot
-    h = Hypergraph.from_edges(4, [[1, 2, 3], [3, 4]], [3, 1])
+    h = from_edges(4, [[1, 2, 3], [3, 4]], [3, 1])
     strong = par_kernelize(h)
     _, weak = run_pipeline(h, PipelineSpec(("se", "md"), engine="parallel", loop=True))
     assert strong.alive_edges == (1,)
@@ -267,7 +268,7 @@ def test_intersection_counts_match_triple_loop(seed):
 
 def test_edge_phase_rejects_demand_outside_row_size():
     # Pairs that share nothing are skipped, which is exact only for 1 <= f <= |e|.
-    h = Hypergraph.from_edges(3, [[1, 2], [3]], [1, 1])
+    h = from_edges(3, [[1, 2], [3]], [1, 1])
     A = incidence_matrix(h)
     with pytest.raises(ValueError):
         par_reduce_edges(A, [3, 1])
@@ -313,7 +314,7 @@ def test_optimum_preserved(seed):
 def test_round_bound(seed):
     h = generate_random(n=2 + seed % 16, m=2 + (7 * seed) % 16, p=0.35, alpha=1 + seed % 3, seed=seed)
     run = par_kernelize(h)
-    assert run.report.rounds <= matching_number(h) + 1
+    assert run.report.rounds <= compute_stats(h, {"matching"})["matching"] + 1
 
 
 @pytest.mark.parametrize("seed", range(30))

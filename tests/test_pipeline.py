@@ -17,7 +17,7 @@ from mhskernel import (
 from mhskernel import pipeline
 from mhskernel.rules import ActiveInstance, lp_pass
 
-from conftest import assert_candidates_sound, brute_force_opt, singletons
+from conftest import assert_candidates_sound, brute_force_opt, from_edges, singletons
 
 
 def test_spec_validation():
@@ -67,13 +67,13 @@ def test_singletons_meet_bound_exactly():
 
 
 def test_budget_tracking():
-    h = Hypergraph.from_edges(3, [[1, 2], [2, 3]], [2, 1], budget=5)
+    h = from_edges(3, [[1, 2], [2, 3]], [2, 1], budget=5)
     reduced, report = run_pipeline(h, PipelineSpec(("fe",), loop=True))
     assert report.budget_delta == 2
     assert reduced.budget == 3
     assert not report.infeasible
 
-    tight = Hypergraph.from_edges(3, [[1, 2], [2, 3]], [2, 1], budget=1)
+    tight = from_edges(3, [[1, 2], [2, 3]], [2, 1], budget=1)
     reduced, report = run_pipeline(tight, PipelineSpec(("fe",), loop=True))
     assert reduced.budget == -1
     assert report.infeasible
@@ -93,7 +93,7 @@ def test_se_md_pipeline(ce):
 
 
 def test_lp_pipeline_uses_oracle(ce):
-    h = Hypergraph.from_edges(4, [[1, 2, 3], [3, 4]], [3, 1])
+    h = from_edges(4, [[1, 2, 3], [3, 4]], [3, 1])
     reduced, report = run_pipeline(h, PipelineSpec(("lp",), loop=True))
     assert report.deleted_by_rule["lp"] >= 1
     assert brute_force_opt(h) == brute_force_opt(reduced)
@@ -106,7 +106,7 @@ def test_lp_retries_an_edge_whose_oracle_raised(monkeypatch):
     # nothing else; md deletes vertices 2 and 3 in round 1 either way.  If
     # edge 1's oracle call raises, md's deletions start round 2, which
     # retries and deletes edge 1.
-    h = Hypergraph.from_edges(3, [[1, 2, 3], [1, 2]], [1, 1])
+    h = from_edges(3, [[1, 2, 3], [1, 2]], [1, 1])
     spec = PipelineSpec(("lp", "md"), loop=True)
     expected, _ = run_pipeline(h, spec)
     oracle = pipeline.LP_ORACLES["exact"]

@@ -19,7 +19,6 @@ from mhskernel import (
     seq_reduce_edges,
     seq_reduce_vertices,
     solve_opt,
-    supersedes,
 )
 from mhskernel.pipeline import _par_phase
 from mhskernel.rules import fe_pass, lp_pass
@@ -29,10 +28,12 @@ from conftest import (
     brute_force_opt,
     dominators,
     fixpoint_fe,
+    from_edges,
     md_applicable,
     naive_extract,
     rescan_lp_pass,
     singletons,
+    supersedes,
     vertex_incidences,
 )
 
@@ -43,7 +44,7 @@ def active(h: Hypergraph) -> ActiveInstance:
 
 class TestSupersedes:
     def test_demand_is_pushed(self):
-        h = Hypergraph.from_edges(4, [[1, 2, 3], [3, 4]], [3, 1])
+        h = from_edges(4, [[1, 2, 3], [3, 4]], [3, 1])
         assert supersedes(active(h), 1, 2)  # 3 - |{1,2}| >= 1
         assert not supersedes(active(h), 2, 1)
 
@@ -80,7 +81,7 @@ class TestSupersedes:
             big = sorted(small + rng.sample(extra, rng.randint(1, len(extra))))
             f_small = rng.randint(1, len(small))
             f_big = rng.randint(1, f_small)
-            h = Hypergraph.from_edges(n, [small, big], [f_small, f_big])
+            h = from_edges(n, [small, big], [f_small, f_big])
             assert supersedes(active(h), 1, 2)
 
     def test_unit_demands_reduce_to_containment(self):
@@ -131,7 +132,7 @@ class TestMdApplicable:
         assert not md_applicable(active(ce), 3)
 
     def test_enough_dominators(self):
-        h = Hypergraph.from_edges(4, [[1, 2, 3], [1, 2, 3, 4]], [2, 2])
+        h = from_edges(4, [[1, 2, 3], [1, 2, 3, 4]], [2, 2])
         assert md_applicable(active(h), 4)  # dominators {1,2,3}
 
     def test_orphan_always_deletable(self):
@@ -168,7 +169,7 @@ def fe_overlays(draw) -> ActiveInstance:
         size = sum(vertex_alive[v - 1] for v in e)
         extra = draw(st.sampled_from([0] * 19 + [1]))
         demand.append(draw(st.integers(1, max(size, 1))) + extra)
-    a = ActiveInstance(Hypergraph.from_edges(n, edges, demand))
+    a = ActiveInstance(from_edges(n, edges, demand))
     a.vertex_alive, a.edge_alive = vertex_alive, edge_alive
     return a
 
@@ -176,7 +177,7 @@ def fe_overlays(draw) -> ActiveInstance:
 class TestFullEdge:
     def test_cascade(self):
         # Forcing edge 1's vertices satisfies edge 2 through vertex 2.
-        h = Hypergraph.from_edges(3, [[1, 2], [2, 3]], [2, 1])
+        h = from_edges(3, [[1, 2], [2, 3]], [2, 1])
         outcome = fe_pass(active(h))
         assert outcome.deleted_edges == {1, 2}
         assert outcome.deleted_vertices == {1, 2}
@@ -205,7 +206,7 @@ class TestFullEdge:
         assert fe_run(ce)[1].budget_delta == 2
 
     def test_budget_carries_through(self):
-        h = Hypergraph.from_edges(3, [[1, 2], [2, 3]], [2, 1], budget=3)
+        h = from_edges(3, [[1, 2], [2, 3]], [2, 1], budget=3)
         reduced, _ = fe_run(h)
         assert reduced.budget == 1
 
@@ -276,15 +277,28 @@ class TestPushedSubinstance:
         assert sub.demand == (1, 1)
 
     def test_disjoint_edge_pushes_nothing(self):
-        h = Hypergraph.from_edges(4, [[1, 2], [3, 4]], [2, 2])
+        h = from_edges(4, [[1, 2], [3, 4]], [2, 2])
         sub, _ = build_pushed_subinstance(active(h), 1)
         assert sub.m == 0
 
     def test_contained_edge_pushes_full_demand(self):
-        h = Hypergraph.from_edges(3, [[1, 2], [1, 2, 3]], [2, 2])
+        h = from_edges(3, [[1, 2], [1, 2, 3]], [2, 2])
         sub, _ = build_pushed_subinstance(active(h), 2)
         assert sub.edges == ((1, 2),)
         assert sub.demand == (2,)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_arrays_pass_the_tuple_constructor_checks(self, seed):
+        # The subinstance is built from arrays, unchecked; the tuple
+        # constructor must accept what they hold and rebuild the same.
+        rng = random.Random(seed)
+        h = generate_random(n=10, m=8, p=0.5, alpha=3, seed=seed)
+        a = active(h)
+        for v in rng.sample(range(h.n), 3):
+            a.vertex_alive[v] = False
+        for j in a.alive_edge_ids():
+            sub, _ = build_pushed_subinstance(a, j)
+            assert Hypergraph(sub.n, sub.edges, sub.demand) == sub
 
 
 class TestLpRule:
@@ -296,11 +310,11 @@ class TestLpRule:
         assert not lp_rule_applicable(a, 2)
 
     def test_superseded_edge_is_lp_deletable(self):
-        h = Hypergraph.from_edges(4, [[1, 2, 3], [3, 4]], [3, 1])
+        h = from_edges(4, [[1, 2, 3], [3, 4]], [3, 1])
         assert lp_rule_applicable(active(h), 2)
 
     def test_empty_subinstance_never_fires(self):
-        h = Hypergraph.from_edges(4, [[1, 2], [3, 4]], [2, 2])
+        h = from_edges(4, [[1, 2], [3, 4]], [2, 2])
         assert not lp_rule_applicable(active(h), 1)
 
     def test_pushed_max_oracle_is_weaker_but_valid(self, ce):
@@ -376,7 +390,7 @@ def overlays(draw) -> ActiveInstance:
     edges = draw(st.lists(st.sets(st.integers(1, max(n, 1)), max_size=n), max_size=8))
     demand = draw(st.lists(st.integers(1, 3), min_size=len(edges), max_size=len(edges)))
     budget = draw(st.none() | st.integers(0, 6))
-    a = ActiveInstance(Hypergraph.from_edges(n, edges, demand, budget))
+    a = ActiveInstance(from_edges(n, edges, demand, budget))
     a.vertex_alive = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     a.edge_alive = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     return a

@@ -17,7 +17,6 @@ from mhskernel import (
     seq_kernelize,
     seq_reduce_edges,
     seq_reduce_vertices,
-    supersedes,
 )
 from mhskernel.rules import fe_pass, lp_pass
 from mhskernel import bitmatrix
@@ -26,9 +25,11 @@ from mhskernel.bitmatrix import BLOCK_CELLS
 from conftest import (
     assert_candidates_sound,
     dense_nested_instance,
+    from_edges,
     md_applicable,
     overlay_copy,
     singletons,
+    supersedes,
     vertex_edges,
 )
 
@@ -77,7 +78,7 @@ def test_edge_step_ce_is_noop(ce):
 
 
 def test_edge_step_update_trace():
-    h = Hypergraph.from_edges(4, [[1, 2, 3], [3, 4]], [3, 1])
+    h = from_edges(4, [[1, 2, 3], [3, 4]], [3, 1])
     state = init_state(h)
     state.cand_vertices[:] = False
     assert seq_reduce_edges(state) == 1
@@ -89,7 +90,7 @@ def test_edge_step_update_trace():
 
 
 def test_vertex_step_matches_parallel_example():
-    h = Hypergraph.from_edges(4, [[1, 2, 3], [1, 2, 3, 4]], [2, 2])
+    h = from_edges(4, [[1, 2, 3], [1, 2, 3, 4]], [2, 2])
     state = init_state(h)
     state.cand_edges[:] = False
     assert seq_reduce_vertices(state) == 2
